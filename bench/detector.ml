@@ -97,23 +97,11 @@ type row = {
           meaningful nop baseline to subtract *)
 }
 
-(* Detection time: run minus uninstrumented baseline, floored at 1us so
-   clock jitter on a near-free configuration cannot yield a zero or
-   negative denominator. *)
-let det_time run nop = Float.max (run -. nop) 1e-6
+let mrw_aps r = float_of_int r.accesses /. Gate.det_time r.mrw_s r.nop_s
 
-(* A detection time below this floor (both absolute and relative to the
-   interpreter baseline) is clock noise, not measurement: on
-   interpreter-bound programs the run-to-run variance of the baseline
-   itself exceeds the detector's contribution.  Such rows are printed and
-   recorded but excluded from the summary speedups. *)
-let measurable run nop = run -. nop >= Float.max 3e-4 (0.05 *. nop)
+let vc_mrw_aps r = float_of_int r.accesses /. Gate.det_time r.vc_mrw_s r.nop_s
 
-let mrw_aps r = float_of_int r.accesses /. det_time r.mrw_s r.nop_s
-
-let vc_mrw_aps r = float_of_int r.accesses /. det_time r.vc_mrw_s r.nop_s
-
-let ref_mrw_aps r = float_of_int r.accesses /. det_time r.ref_mrw_s r.nop_s
+let ref_mrw_aps r = float_of_int r.accesses /. Gate.det_time r.ref_mrw_s r.nop_s
 
 let mrw_speedup r = mrw_aps r /. ref_mrw_aps r
 
@@ -121,10 +109,10 @@ let vc_mrw_speedup r = vc_mrw_aps r /. ref_mrw_aps r
 
 (* Both sides' detection time above the noise floor? *)
 let row_measurable r =
-  measurable r.mrw_s r.nop_s && measurable r.ref_mrw_s r.nop_s
+  Gate.measurable r.mrw_s r.nop_s && Gate.measurable r.ref_mrw_s r.nop_s
 
 let vc_row_measurable r =
-  measurable r.vc_mrw_s r.nop_s && measurable r.ref_mrw_s r.nop_s
+  Gate.measurable r.vc_mrw_s r.nop_s && Gate.measurable r.ref_mrw_s r.nop_s
 
 let identical name what a b =
   if a <> b then
@@ -274,94 +262,90 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
     par_mrw_s;
   }
 
+(* Per-row columns.  Rates and speedups derive from detection times, so
+   each is gated on the configurations it subtracts; the overheads are
+   plain ratios of run times and need no gate. *)
+let row_json r =
+  let mrw_ok = Gate.measurable r.mrw_s r.nop_s
+  and vc_ok = Gate.measurable r.vc_mrw_s r.nop_s
+  and ref_ok = Gate.measurable r.ref_mrw_s r.nop_s in
+  Obs.Json.Obj
+    ([
+       ("name", Obs.Json.Str r.name);
+       ("accesses", Int r.accesses);
+       ("races", Int r.races);
+       ("nop_s", Float r.nop_s);
+       ("srw_s", Float r.srw_s);
+       ("mrw_s", Float r.mrw_s);
+       ("prune_analysis_s", Float r.analysis_s);
+       ("mrw_pruned_s", Float r.mrw_pruned_s);
+       ("skipped_accesses", Int r.skipped);
+       ("ref_srw_s", Float r.ref_srw_s);
+       ("ref_mrw_s", Float r.ref_mrw_s);
+       ("vc_srw_s", Float r.vc_srw_s);
+       ("vc_mrw_s", Float r.vc_mrw_s);
+       ("par_mrw_wall_s", Float r.par_mrw_s);
+       ("mrw_overhead", Float (r.mrw_s /. r.nop_s));
+       ("ref_mrw_overhead", Float (r.ref_mrw_s /. r.nop_s));
+     ]
+    @ Gate.column "mrw_det_accesses_per_s" ~ok:mrw_ok (mrw_aps r)
+    @ Gate.column "vc_mrw_det_accesses_per_s" ~ok:vc_ok (vc_mrw_aps r)
+    @ Gate.column "ref_mrw_det_accesses_per_s" ~ok:ref_ok (ref_mrw_aps r)
+    @ Gate.column "mrw_speedup_vs_seed" ~ok:(row_measurable r) (mrw_speedup r)
+    @ Gate.column "vc_mrw_speedup_vs_seed" ~ok:(vc_row_measurable r)
+        (vc_mrw_speedup r))
+
+(* Summary statistics cover only rows whose detection times are above
+   the noise floor on both sides; over no such row they are null. *)
 let json_of_rows ~repeat rows =
-  let buf = Buffer.create 2048 in
-  let row_json r =
-    Fmt.str
-      "    {\"name\": %S, \"accesses\": %d, \"races\": %d, \"nop_s\": %.6f, \
-       \"srw_s\": %.6f, \"mrw_s\": %.6f, \"prune_analysis_s\": %.6f, \
-       \"mrw_pruned_s\": %.6f, \"skipped_accesses\": %d, \"ref_srw_s\": \
-       %.6f, \"ref_mrw_s\": %.6f, \"vc_srw_s\": %.6f, \"vc_mrw_s\": %.6f, \
-       \"par_mrw_wall_s\": %.6f, \"mrw_det_accesses_per_s\": %.0f, \
-       \"vc_mrw_det_accesses_per_s\": %.0f, \
-       \"ref_mrw_det_accesses_per_s\": %.0f, \"mrw_speedup_vs_seed\": %.3f, \
-       \"vc_mrw_speedup_vs_seed\": %.3f, \"mrw_overhead\": %.3f, \
-       \"ref_mrw_overhead\": %.3f, \"measurable\": %b, \"vc_measurable\": \
-       %b}"
-      r.name r.accesses r.races r.nop_s r.srw_s r.mrw_s r.analysis_s
-      r.mrw_pruned_s r.skipped r.ref_srw_s r.ref_mrw_s r.vc_srw_s r.vc_mrw_s
-      r.par_mrw_s (mrw_aps r) (vc_mrw_aps r) (ref_mrw_aps r) (mrw_speedup r)
-      (vc_mrw_speedup r) (r.mrw_s /. r.nop_s) (r.ref_mrw_s /. r.nop_s)
-      (row_measurable r) (vc_row_measurable r)
-  in
-  (* summary statistics cover only rows whose detection time is above the
-     noise floor on both sides *)
   let mrows = List.filter row_measurable rows in
   let vrows = List.filter vc_row_measurable rows in
+  let srows =
+    List.filter
+      (fun r ->
+        Gate.measurable r.srw_s r.nop_s && Gate.measurable r.ref_srw_s r.nop_s)
+      rows
+  in
   let geomean_over rs f =
     exp
       (List.fold_left (fun acc r -> acc +. log (f r)) 0. rs
       /. float_of_int (max 1 (List.length rs)))
   in
   let total_over rs f = List.fold_left (fun acc r -> acc +. f r) 0. rs in
-  let total = total_over mrows in
-  (* No measurable row leaves a 0/0 aggregate; JSON has no NaN, so such
-     summaries are written as 0. *)
-  let safe f = if Float.is_finite f then f else 0. in
-  let agg_speedup =
-    safe
-      (total (fun r -> det_time r.ref_mrw_s r.nop_s)
-      /. total (fun r -> det_time r.mrw_s r.nop_s))
-  in
-  let vc_agg_speedup =
-    safe
-      (total_over vrows (fun r -> det_time r.ref_mrw_s r.nop_s)
-      /. total_over vrows (fun r -> det_time r.vc_mrw_s r.nop_s))
-  in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Fmt.str "  \"repeat\": %d,\n" repeat);
-  Buffer.add_string buf
-    (Fmt.str "  \"par_domains\": %d,\n" (par_domains ()));
-  Buffer.add_string buf
-    (Fmt.str "  \"measured_rows\": %d,\n" (List.length mrows));
-  Buffer.add_string buf
-    (Fmt.str "  \"vc_measured_rows\": %d,\n" (List.length vrows));
-  Buffer.add_string buf
-    (Fmt.str "  \"aggregate_mrw_speedup_vs_seed\": %.3f,\n" agg_speedup);
-  Buffer.add_string buf
-    (Fmt.str "  \"aggregate_vc_mrw_speedup_vs_seed\": %.3f,\n" vc_agg_speedup);
-  Buffer.add_string buf
-    (Fmt.str "  \"total_accesses\": %.0f,\n"
-       (total (fun r -> float_of_int r.accesses)));
-  Buffer.add_string buf
-    (Fmt.str "  \"aggregate_mrw_det_accesses_per_s\": %.0f,\n"
-       (safe
-          (total (fun r -> float_of_int r.accesses)
-          /. total (fun r -> det_time r.mrw_s r.nop_s))));
-  Buffer.add_string buf
-    (Fmt.str "  \"aggregate_vc_mrw_det_accesses_per_s\": %.0f,\n"
-       (safe
-          (total_over vrows (fun r -> float_of_int r.accesses)
-          /. total_over vrows (fun r -> det_time r.vc_mrw_s r.nop_s))));
-  Buffer.add_string buf
-    (Fmt.str "  \"aggregate_ref_mrw_det_accesses_per_s\": %.0f,\n"
-       (safe
-          (total (fun r -> float_of_int r.accesses)
-          /. total (fun r -> det_time r.ref_mrw_s r.nop_s))));
-  Buffer.add_string buf
-    (Fmt.str "  \"geomean_mrw_speedup_vs_seed\": %.3f,\n"
-       (geomean_over mrows mrw_speedup));
-  Buffer.add_string buf
-    (Fmt.str "  \"geomean_vc_mrw_speedup_vs_seed\": %.3f,\n"
-       (geomean_over vrows vc_mrw_speedup));
-  Buffer.add_string buf
-    (Fmt.str "  \"geomean_srw_speedup_vs_seed\": %.3f,\n"
-       (geomean_over mrows (fun r ->
-            det_time r.ref_srw_s r.nop_s /. det_time r.srw_s r.nop_s)));
-  Buffer.add_string buf "  \"rows\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map row_json rows));
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  let accesses r = float_of_int r.accesses in
+  let over rs name v = Gate.column name ~ok:(rs <> []) v in
+  Gate.document
+    ([
+       ("repeat", Obs.Json.Int repeat);
+       ("par_domains", Int (par_domains ()));
+       ("measured_rows", Int (List.length mrows));
+       ("vc_measured_rows", Int (List.length vrows));
+       ( "total_accesses",
+         Int (List.fold_left (fun n r -> n + r.accesses) 0 mrows) );
+     ]
+    @ over mrows "aggregate_mrw_speedup_vs_seed"
+        (total_over mrows (fun r -> Gate.det_time r.ref_mrw_s r.nop_s)
+        /. total_over mrows (fun r -> Gate.det_time r.mrw_s r.nop_s))
+    @ over vrows "aggregate_vc_mrw_speedup_vs_seed"
+        (total_over vrows (fun r -> Gate.det_time r.ref_mrw_s r.nop_s)
+        /. total_over vrows (fun r -> Gate.det_time r.vc_mrw_s r.nop_s))
+    @ over mrows "aggregate_mrw_det_accesses_per_s"
+        (total_over mrows accesses
+        /. total_over mrows (fun r -> Gate.det_time r.mrw_s r.nop_s))
+    @ over vrows "aggregate_vc_mrw_det_accesses_per_s"
+        (total_over vrows accesses
+        /. total_over vrows (fun r -> Gate.det_time r.vc_mrw_s r.nop_s))
+    @ over mrows "aggregate_ref_mrw_det_accesses_per_s"
+        (total_over mrows accesses
+        /. total_over mrows (fun r -> Gate.det_time r.ref_mrw_s r.nop_s))
+    @ over mrows "geomean_mrw_speedup_vs_seed" (geomean_over mrows mrw_speedup)
+    @ over vrows "geomean_vc_mrw_speedup_vs_seed"
+        (geomean_over vrows vc_mrw_speedup)
+    @ over srows "geomean_srw_speedup_vs_seed"
+        (geomean_over srows (fun r ->
+             Gate.det_time r.ref_srw_s r.nop_s
+             /. Gate.det_time r.srw_s r.nop_s)))
+    (List.map row_json rows)
 
 let sweep ~quick () =
   let repeat = if quick then 1 else env_int "TDR_BENCH_REPEAT" 5 in
@@ -399,12 +383,12 @@ let sweep ~quick () =
   in
   let total_over rs f = List.fold_left (fun acc r -> acc +. f r) 0. rs in
   let agg =
-    total_over mrows (fun r -> det_time r.ref_mrw_s r.nop_s)
-    /. total_over mrows (fun r -> det_time r.mrw_s r.nop_s)
+    total_over mrows (fun r -> Gate.det_time r.ref_mrw_s r.nop_s)
+    /. total_over mrows (fun r -> Gate.det_time r.mrw_s r.nop_s)
   in
   let vc_agg =
-    total_over vrows (fun r -> det_time r.ref_mrw_s r.nop_s)
-    /. total_over vrows (fun r -> det_time r.vc_mrw_s r.nop_s)
+    total_over vrows (fun r -> Gate.det_time r.ref_mrw_s r.nop_s)
+    /. total_over vrows (fun r -> Gate.det_time r.vc_mrw_s r.nop_s)
   in
   Fmt.pr
     "race sets byte-identical to the seed on all %d benchmark(s), \
@@ -434,21 +418,8 @@ let sweep ~quick () =
              the %.2fx floor (TDR_BENCH_MIN_SPEEDUP) — instrumentation \
              overhead regression?"
             agg floor));
-  (* Quick mode writes the JSON only on explicit request (the @ci alias
-     must not litter the build dir), full mode by default. *)
-  let json_dest =
-    match Sys.getenv_opt "TDR_BENCH_DETECTOR_JSON" with
-    | Some "-" -> None
-    | Some path -> Some path
-    | None -> if quick then None else Some "BENCH_detector.json"
-  in
-  match json_dest with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (json_of_rows ~repeat rows);
-      close_out oc;
-      Fmt.pr "[detector data written to %s]@." path
+  Gate.emit ~what:"detector" ~var:"TDR_BENCH_DETECTOR_JSON"
+    ~default:"BENCH_detector.json" ~quick (json_of_rows ~repeat rows)
 
 let run () = sweep ~quick:false ()
 

@@ -118,15 +118,11 @@ type row = {
   spilled : int;  (** records through the forced-spill identity run *)
 }
 
-let det_time run nop = Float.max (run -. nop) 1e-6
+let aps r = float_of_int r.accesses /. Gate.det_time r.chunked_s r.nop_s
 
-let measurable run nop = run -. nop >= Float.max 3e-4 (0.05 *. nop)
+let mono_aps r = float_of_int r.accesses /. Gate.det_time r.mono_s r.nop_s
 
-let aps r = float_of_int r.accesses /. det_time r.chunked_s r.nop_s
-
-let mono_aps r = float_of_int r.accesses /. det_time r.mono_s r.nop_s
-
-let row_measurable r = measurable r.chunked_s r.nop_s
+let row_measurable r = Gate.measurable r.chunked_s r.nop_s
 
 let identical workload what a b =
   if a <> b then
@@ -244,49 +240,50 @@ let measure ~repeat ~spill_dir (name, cfg) : row list =
   in
   [ eb_row; vc_row ]
 
-(* JSON has no NaN/Inf; aggregates over an empty or unmeasurable row set
-   degrade to 0 instead. *)
+(* Aggregates over an empty row set are nan; only the console prints
+   them, as 0. *)
 let safe f = if Float.is_finite f then f else 0.
 
+let row_json r =
+  Obs.Json.Obj
+    ([
+       ("workload", Obs.Json.Str r.workload);
+       ("backend", Str r.backend);
+       ("accesses", Int r.accesses);
+       ("races", Int r.races);
+       ("nop_s", Float r.nop_s);
+       ("chunked_s", Float r.chunked_s);
+       ("mono_s", Float r.mono_s);
+       ("chunked_hw_words", Int r.chunked.hw_words);
+       ("mono_hw_words", Int r.mono.hw_words);
+       ("chunked_shadow_slabs", Int r.chunked.shadow_slabs);
+       ("chunked_shadow_words", Int r.chunked.shadow_words);
+       ("mono_shadow_words", Int r.mono.shadow_words);
+       ("gc_retired", Int r.chunked.gc_retired);
+       ("clocks_freed", Int r.chunked.clocks_freed);
+       ("spilled_races", Int r.spilled);
+     ]
+    @ Gate.column "det_accesses_per_s" ~ok:(row_measurable r) (aps r)
+    @ Gate.column "mono_det_accesses_per_s"
+        ~ok:(Gate.measurable r.mono_s r.nop_s)
+        (mono_aps r))
+
 let json_of_rows ~repeat ~quick rows =
-  let buf = Buffer.create 4096 in
-  let row_json r =
-    Fmt.str
-      "    {\"workload\": %S, \"backend\": %S, \"accesses\": %d, \"races\": \
-       %d, \"nop_s\": %.6f, \"chunked_s\": %.6f, \"mono_s\": %.6f, \
-       \"det_accesses_per_s\": %.0f, \"mono_det_accesses_per_s\": %.0f, \
-       \"chunked_hw_words\": %d, \"mono_hw_words\": %d, \
-       \"chunked_shadow_slabs\": %d, \"chunked_shadow_words\": %d, \
-       \"mono_shadow_words\": %d, \"gc_retired\": %d, \"clocks_freed\": %d, \
-       \"spilled_races\": %d, \"measurable\": %b}"
-      r.workload r.backend r.accesses r.races r.nop_s r.chunked_s r.mono_s
-      (safe (aps r)) (safe (mono_aps r)) r.chunked.hw_words r.mono.hw_words
-      r.chunked.shadow_slabs r.chunked.shadow_words r.mono.shadow_words
-      r.chunked.gc_retired r.chunked.clocks_freed r.spilled (row_measurable r)
-  in
   let mrows = List.filter row_measurable rows in
   let total_over rs f = List.fold_left (fun acc r -> acc +. f r) 0. rs in
-  let agg_aps =
-    safe
-      (total_over mrows (fun r -> float_of_int r.accesses)
-      /. total_over mrows (fun r -> det_time r.chunked_s r.nop_s))
-  in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Fmt.str "  \"repeat\": %d,\n" repeat);
-  Buffer.add_string buf (Fmt.str "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf
-    (Fmt.str "  \"measured_rows\": %d,\n" (List.length mrows));
-  Buffer.add_string buf
-    (Fmt.str "  \"total_accesses\": %.0f,\n"
-       (total_over rows (fun r -> float_of_int r.accesses)));
-  Buffer.add_string buf
-    (Fmt.str "  \"aggregate_det_accesses_per_s\": %.0f,\n" agg_aps);
-  Buffer.add_string buf
-    (Fmt.str "  \"peak_rss_kb\": %d,\n" (Obs.Rusage.peak_rss_kb ()));
-  Buffer.add_string buf "  \"rows\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map row_json rows));
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  Gate.document
+    ([
+       ("repeat", Obs.Json.Int repeat);
+       ("quick", Bool quick);
+       ("measured_rows", Int (List.length mrows));
+       ( "total_accesses",
+         Int (List.fold_left (fun n r -> n + r.accesses) 0 rows) );
+       ("peak_rss_kb", Int (Obs.Rusage.peak_rss_kb ()));
+     ]
+    @ Gate.column "aggregate_det_accesses_per_s" ~ok:(mrows <> [])
+        (total_over mrows (fun r -> float_of_int r.accesses)
+        /. total_over mrows (fun r -> Gate.det_time r.chunked_s r.nop_s)))
+    (List.map row_json rows)
 
 let sweep ~quick () =
   let repeat = max 1 (if quick then 1 else env_int "TDR_BENCH_REPEAT" 2) in
@@ -316,12 +313,14 @@ let sweep ~quick () =
               (fun r ->
                 Fmt.pr
                   "%-11s %-8s %10d %6d %9.1f %9.1f %9.1f %7.1fM %7.1fM %9d \
-                   %9.0f@."
+                   %s@."
                   r.workload r.backend r.accesses r.races (1e3 *. r.nop_s)
                   (1e3 *. r.chunked_s) (1e3 *. r.mono_s)
                   (float_of_int r.chunked.hw_words /. 1e6)
                   (float_of_int r.mono.hw_words /. 1e6)
-                  r.chunked.gc_retired (safe (aps r)))
+                  r.chunked.gc_retired
+                  (if row_measurable r then Fmt.str "%9.0f" (aps r)
+                   else "      n/a"))
               rs;
             rs)
           (workloads ~quick ())
@@ -351,7 +350,7 @@ let sweep ~quick () =
       let agg_aps =
         safe
           (total_over mrows (fun r -> float_of_int r.accesses)
-          /. total_over mrows (fun r -> det_time r.chunked_s r.nop_s))
+          /. total_over mrows (fun r -> Gate.det_time r.chunked_s r.nop_s))
       in
       let rss_kb = Obs.Rusage.peak_rss_kb () in
       Fmt.pr
@@ -373,19 +372,9 @@ let sweep ~quick () =
               "scale bench: process peak RSS %d MB exceeds the %d MB \
                ceiling (TDR_BENCH_MAX_RSS_MB)"
               (rss_kb / 1024) ceil_mb));
-      let json_dest =
-        match Sys.getenv_opt "TDR_BENCH_SCALE_JSON" with
-        | Some "-" -> None
-        | Some path -> Some path
-        | None -> if quick then None else Some "BENCH_scale.json"
-      in
-      match json_dest with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (json_of_rows ~repeat ~quick rows);
-          close_out oc;
-          Fmt.pr "[scale data written to %s]@." path)
+      Gate.emit ~what:"scale" ~var:"TDR_BENCH_SCALE_JSON"
+        ~default:"BENCH_scale.json" ~quick
+        (json_of_rows ~repeat ~quick rows))
 
 let run () = sweep ~quick:false ()
 

@@ -127,7 +127,7 @@ let eval_placement (g : Depgraph.t) (intervals : (int * int) list) : int =
   in
   (* Evaluate the sequence lo..hi given the intervals nested inside; returns
      (span, drag) of the composed block. *)
-  let rec eval lo hi ivs =
+  let rec span_drag lo hi ivs =
     let rec top_level = function
       | [] -> []
       | (a, b) :: rest ->
@@ -163,7 +163,7 @@ let eval_placement (g : Depgraph.t) (intervals : (int * int) list) : int =
         for v = !cursor to a - 1 do
           emit_vertex v
         done;
-        let inner_span, _inner_drag = eval a b inner in
+        let inner_span, _inner_drag = span_drag a b inner in
         (* a finish: control blocks until everything inside completes *)
         span := max !span (!start + inner_span);
         start := !start + inner_span;
@@ -174,7 +174,7 @@ let eval_placement (g : Depgraph.t) (intervals : (int * int) list) : int =
     done;
     (!span, !start)
   in
-  if n = 0 then 0 else fst (eval 0 (n - 1) sorted)
+  if n = 0 then 0 else fst (span_drag 0 (n - 1) sorted)
 
 (** Does [intervals] resolve every dependence edge of [g]?  Edge [(x, y)]
     needs some interval [(s, e)] with [s <= x <= e < y] (paper §5.2). *)

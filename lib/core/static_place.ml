@@ -64,6 +64,14 @@ let merge ~(scopes : Mhj.Scopecheck.t)
   let demands =
     List.map (fun (ctx, p) -> (ctx, canonicalize scopes p)) demands
   in
+  let dedup ps =
+    List.fold_left
+      (fun acc p ->
+        if List.exists (Mhj.Transform.equal_placement p) acc then acc
+        else p :: acc)
+      [] ps
+    |> List.rev
+  in
   (* Pairs of distinct placements co-demanded by one context are protected
      from merging (they are deliberate nested structure). *)
   let protected_pairs = Hashtbl.create 16 in
@@ -74,8 +82,12 @@ let merge ~(scopes : Mhj.Scopecheck.t)
       Hashtbl.replace by_ctx ctx (p :: cur))
     demands;
   let key (p : Mhj.Transform.placement) = (p.bid, p.lo, p.hi) in
+  (* Deduplicate per context first: per-edge interval covers demand the
+     same placement once per race edge, and the pair pass below is
+     quadratic in the demands it is given. *)
   Hashtbl.iter
     (fun _ctx ps ->
+      let ps = dedup ps in
       List.iter
         (fun p ->
           List.iter
@@ -88,14 +100,6 @@ let merge ~(scopes : Mhj.Scopecheck.t)
         ps)
     by_ctx;
   let protected_pair p q = Hashtbl.mem protected_pairs (key p, key q) in
-  let dedup ps =
-    List.fold_left
-      (fun acc p ->
-        if List.exists (Mhj.Transform.equal_placement p) acc then acc
-        else p :: acc)
-      [] ps
-    |> List.rev
-  in
   let initial = dedup (List.map snd demands) in
   let n_demanded = List.length initial in
   let n_merged = ref 0 in

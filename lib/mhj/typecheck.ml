@@ -28,7 +28,7 @@ type env = {
   mutable async_depth : int;
 }
 
-let lookup_local env x =
+let lookup_scope env x =
   let rec go = function
     | [] -> None
     | frame :: rest -> (
@@ -61,7 +61,7 @@ let rec type_expr env (e : expr) : ty =
   | Bool _ -> TBool
   | Str _ -> TStr
   | Var x -> (
-      match lookup_local env x with
+      match lookup_scope env x with
       | Some b ->
           if b.basync < env.async_depth && b.bmut = Mut then
             error e.eloc
@@ -187,7 +187,7 @@ let rec check_stmt env ~(ret : ty) (st : stmt) : unit =
       declare env st.sloc x { bty = ty; bmut = m; basync = env.async_depth }
   | Assign (x, path, rhs) ->
       let bty, crosses_async =
-        match lookup_local env x with
+        match lookup_scope env x with
         | Some b ->
             if path = [] then begin
               if b.bmut = Immut then

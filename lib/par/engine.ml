@@ -1,22 +1,8 @@
-(** Parallel async-finish interpreter on OCaml 5 domains.
-
-    This is the "real" execution backend next to {!Rt.Interp}'s canonical
-    depth-first one.  Two modes share one interpreter core:
-
-    - [Domains {n; seed}] — [n] workers, each pinned to its own domain,
-      run a help-first work-stealing scheduler: an [async] pushes its task
-      onto the spawning worker's Chase-Lev {!Deque}; a worker blocked at a
-      [finish] (or idle) pops its own deque LIFO and steals FIFO from a
-      PRNG-chosen victim.  Timing-dependent, so only best-effort
-      reproducible; [seed] drives victim selection.
-
-    - [Fuzz {seed}] — a single worker with an explicit task pool and a
-      seeded PRNG deciding, at every [async], whether to inline the child
-      or defer it, at statement boundaries whether to yield to a pooled
-      task, and which pooled task a waiting [finish] runs next.  Fully
-      deterministic: the same seed replays the same schedule exactly, so
-      divergences found by schedule fuzzing are reproducible from the
-      seed alone.
+(** Parallel async-finish executor on OCaml 5 domains (see engine.mli
+    for the two modes).  Both executors drive the one Mini-HJ evaluator,
+    {!Rt.Eval}; this module only schedules: deques, the Fuzz pool and
+    yields, finish join counters, fuel batches and pacing, poison,
+    {!Emon} tokens and locked interning.
 
     Memory-safety of the shared heap (see DESIGN.md §9): local frames are
     snapshotted ([Hashtbl.copy]) at spawn, so no [Hashtbl] structure is
@@ -34,8 +20,6 @@ open Mhj
 
 exception Abort
 (* internal: unwind a task after another task poisoned the run *)
-
-exception Return_v of Rt.Value.t
 
 type mode = Fuzz of { seed : int } | Domains of { n : int; seed : int }
 
@@ -101,27 +85,10 @@ type result = {
   stats : stats;
 }
 
-let error loc fmt =
-  Fmt.kstr (fun m -> raise (Rt.Interp.Runtime_error (m, loc))) fmt
-
-type frame = (string, Rt.Value.t ref) Hashtbl.t
-
-type finish = {
-  pending : int Atomic.t;
-  mutable ftok : int;  (** monitor finish token; -1 when unmonitored *)
-}
-
-type task = {
-  t_body : Ast.stmt;  (** normalized block *)
-  t_env : frame list;  (** frame snapshot taken at the spawn point *)
-  t_fin : finish;
-  t_mtok : int;  (** monitor task token; -1 when unmonitored *)
-}
-
 (* Growable task pool with PRNG-indexed removal (Fuzz mode only; accessed
    by the single worker, so no synchronization). *)
 module Pool = struct
-  type t = { mutable data : task array; mutable len : int }
+  type 'a t = { mutable data : 'a array; mutable len : int }
 
   let create () = { data = [||]; len = 0 }
 
@@ -143,24 +110,10 @@ module Pool = struct
     t
 end
 
-type worker = {
-  id : int;
-  deque : task Deque.t;
-  rng : Tdrutil.Prng.t;
-  mutable work : int;  (** cost units charged by this worker *)
-  mutable batch : int;  (** units since the last slow-path flush *)
-  mutable pace_debt_ns : float;  (** pacing debt not yet slept off *)
-  (* Stats below are owner-written plain fields, summed after the joins;
-     the Fuzz trio is only meaningful on the single Fuzz worker. *)
-  mutable n_batches : int;  (** slow-path fuel flushes *)
-  mutable n_inlined : int;
-  mutable n_pooled : int;
-  mutable n_yields : int;
+type finish = {
+  pending : int Atomic.t;
+  mutable ftok : int;  (** monitor finish token; -1 when unmonitored *)
 }
-
-(* A global's slot caches its interned address, as in Rt.Interp; -1 when
-   no monitor is attached. *)
-type gslot = { gval : Rt.Value.t ref; gaddr : int }
 
 (* Monitoring state, present only when an [emon] was passed to [run].
    The address interner is shared across workers: array registration
@@ -176,10 +129,46 @@ type mon = {
   bases : int array Atomic.t;  (** aid -> cell base id; -1 = unknown *)
 }
 
-type engine = {
-  funcs : (string, Ast.func) Hashtbl.t;
-  globals : (string, gslot) Hashtbl.t;
-      (** structure frozen after the sequential initializer phase *)
+type task = {
+  t_stmt : Ast.stmt;  (** the [async] statement *)
+  t_run : tstate Rt.Eval.state -> Ast.stmt -> unit;
+      (** the evaluator's runner for [t_stmt]'s body *)
+  t_st : tstate Rt.Eval.state;  (** frames snapshotted at the spawn point *)
+}
+
+(* The engine's part of a task's evaluator state. *)
+and tstate = {
+  eng : engine;
+  mutable w : worker;  (** the worker currently executing this task *)
+  mutable fin : finish;  (** innermost enclosing finish *)
+  mutable atomic : int;  (** [isolated] nesting depth: no yields inside *)
+  monitored : bool;  (** [eng.mon <> None], checked on hot paths *)
+  mutable mtok : int;  (** this task's monitor token *)
+  (* Step origin (monitored runs only): the depth-first executor opens a
+     step at the cursor's (bid, idx) on the first charge or access after
+     a structural transition; the engine latches the same position into
+     [(obid, oidx)] and clears it at the same transitions ({!Rt.Eval}
+     calls [enter]/[leave] at the same points for both executors). *)
+  mutable obid : int;  (** latched step origin; -1 = not latched *)
+  mutable oidx : int;
+}
+
+and worker = {
+  id : int;
+  deque : task Deque.t;
+  rng : Tdrutil.Prng.t;
+  mutable work : int;  (** cost units charged by this worker *)
+  mutable batch : int;  (** units since the last slow-path flush *)
+  mutable pace_debt_ns : float;  (** pacing debt not yet slept off *)
+  (* Stats below are owner-written plain fields, summed after the joins;
+     the Fuzz trio is only meaningful on the single Fuzz worker. *)
+  mutable n_batches : int;  (** slow-path fuel flushes *)
+  mutable n_inlined : int;
+  mutable n_pooled : int;
+  mutable n_yields : int;
+}
+
+and engine = {
   mon : mon option;
   fuel : int Atomic.t;
   aid : int Atomic.t;
@@ -194,36 +183,22 @@ type engine = {
   policy : policy;
   is_fuzz : bool;
   workers : worker array;
-  pool : Pool.t;  (** Fuzz mode's deferred-task pool *)
+  pool : task Pool.t;  (** Fuzz mode's deferred-task pool *)
   n_tasks : int Atomic.t;
   n_steals : int Atomic.t;
 }
 
-type tstate = {
-  eng : engine;
-  w : worker;  (** the worker currently executing this task *)
-  mutable locals : frame list;
-  mutable fin : finish;  (** innermost enclosing finish *)
-  mutable quiet : bool;  (** global-initializer mode: fuel but no work *)
-  mutable atomic : int;  (** [isolated] nesting depth: no yields inside *)
-  monitored : bool;  (** [eng.mon <> None], checked on hot paths *)
-  mutable mtok : int;  (** this task's monitor token *)
-  (* Step-origin tracking (monitored runs only).  The sequential
-     interpreter's step nodes originate at the (bid, idx) of the first
-     charge after a structural transition; the engine mirrors that with
-     a cursor [(sbid, sidx)] and a latch [(obid, oidx)] captured by the
-     first charge after each [mclose], so monitored access events
-     report the same static origin the depth-first run would. *)
-  mutable sbid : int;  (** block whose statements are executing *)
-  mutable sidx : int;  (** index of the current statement in [sbid] *)
-  mutable obid : int;  (** latched step origin; -1 = not latched *)
-  mutable oidx : int;
-}
+type st = tstate Rt.Eval.state
 
-(* Close the current step: the next charge re-latches the origin.  The
-   engine calls this exactly where the sequential interpreter closes
-   steps (structural statements, calls, loop iterations). *)
-let mclose st = if st.monitored then st.obid <- -1
+(* Close the current step: the next charge or access re-latches the
+   origin. *)
+let mclose (st : st) = if st.x.monitored then st.x.obid <- -1
+
+let latch (st : st) =
+  if st.x.obid < 0 then begin
+    st.x.obid <- st.bid;
+    st.x.oidx <- st.idx
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Cost, fuel, pacing, poison                                          *)
@@ -234,20 +209,27 @@ let poison_with eng e =
 
 let poisoned eng = Atomic.get eng.poison <> None
 
-(* Flush the per-worker batch: settle fuel globally, check for poison,
-   and sleep off accumulated pacing debt.  Oversleep (the common case on
-   a loaded machine) is credited against future debt, so pacing
-   self-corrects instead of drifting. *)
-let slow_path st =
-  let eng = st.eng and w = st.w in
+(* Flush the per-worker batch plus a pending charge [n]: settle fuel
+   globally, check for poison, and sleep off accumulated pacing debt.
+   The batch and [n] are taken from the global fuel only when both fit,
+   compared without forming their sum, so a [work] or allocation charge
+   near [max_int] runs out of fuel instead of wrapping around.
+   Oversleep (the common case on a loaded machine) is credited against
+   future debt, so pacing self-corrects instead of drifting. *)
+let flush (st : st) n =
+  let eng = st.x.eng and w = st.x.w in
   let b = w.batch in
   w.batch <- 0;
   w.n_batches <- w.n_batches + 1;
-  let before = Atomic.fetch_and_add eng.fuel (-b) in
-  if before - b < 0 then begin
-    poison_with eng Rt.Interp.Out_of_fuel;
-    raise Rt.Interp.Out_of_fuel
-  end;
+  let rec settle () =
+    let f = Atomic.get eng.fuel in
+    if f < b || n > f - b then begin
+      poison_with eng Rt.Eval.Out_of_fuel;
+      raise Rt.Eval.Out_of_fuel
+    end
+    else if not (Atomic.compare_and_set eng.fuel f (f - b - n)) then settle ()
+  in
+  settle ();
   if poisoned eng then raise Abort;
   if eng.pace_ns > 0 && (not st.quiet) && w.pace_debt_ns >= 300_000. then begin
     let t0 = Unix.gettimeofday () in
@@ -256,174 +238,18 @@ let slow_path st =
     w.pace_debt_ns <- w.pace_debt_ns -. slept_ns
   end
 
-let charge st n =
-  let w = st.w in
-  w.batch <- w.batch + n;
-  if not st.quiet then begin
-    w.work <- w.work + n;
-    if st.monitored && st.obid < 0 then begin
-      (* first charge since the last structural transition: this is
-         where Rt.Interp would create the step node *)
-      st.obid <- st.sbid;
-      st.oidx <- st.sidx
-    end;
-    if st.eng.pace_ns > 0 then
-      w.pace_debt_ns <- w.pace_debt_ns +. float_of_int (n * st.eng.pace_ns)
-  end;
-  if w.batch >= st.eng.batch_limit then slow_path st
-
-(* Deliver a monitored access at the latched step origin. *)
-let maccess st addr kind =
-  match st.eng.mon with
-  | None -> ()
-  | Some m ->
-      if not st.quiet then begin
-        if st.obid < 0 then begin
-          st.obid <- st.sbid;
-          st.oidx <- st.sidx
-        end;
-        m.em.Emon.on_access ~task:st.mtok ~bid:st.obid ~idx:st.oidx addr kind
-      end
-
 (* Interned id of cell [idx] of array [aid] on the monitored path: a
    lock-free read of the copy-on-write base table, falling back to the
    interner under the lock for an array whose registration this worker
    has not yet observed (the lock acquisition synchronizes with the
    registering unlock). *)
-let cell_addr st aid idx =
-  match st.eng.mon with
-  | None -> -1
-  | Some m -> (
-      let b = Atomic.get m.bases in
-      if aid < Array.length b && Array.unsafe_get b aid >= 0 then
-        Array.unsafe_get b aid + idx
-      else begin
-        Mutex.lock m.intern_mu;
-        let r = Rt.Addr.Intern.cell_id m.intern ~aid ~idx in
-        Mutex.unlock m.intern_mu;
-        r
-      end)
-
-(* ------------------------------------------------------------------ *)
-(* Frames                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let push_frame st = st.locals <- Hashtbl.create 8 :: st.locals
-
-let pop_frame st = st.locals <- List.tl st.locals
-
-let in_frame st f =
-  push_frame st;
-  Fun.protect ~finally:(fun () -> pop_frame st) f
-
-let lookup_local st x =
-  let rec go = function
-    | [] -> None
-    | fr :: rest -> (
-        match Hashtbl.find_opt fr x with Some r -> Some r | None -> go rest)
-  in
-  go st.locals
-
-let declare_local st x v =
-  match st.locals with
-  | fr :: _ -> Hashtbl.replace fr x (ref v)
-  | [] -> invalid_arg "Par.Engine.declare_local: no frame"
-
-(* Spawn-time environment snapshot.  The typechecker only lets an async
-   body read immutable ([val]) outer locals declared before the async, so
-   copying the frames at the spawn point is observationally identical to
-   sharing them — and it keeps Hashtbl structure single-domain. *)
-let snapshot_env st = List.map Hashtbl.copy st.locals
-
-(* ------------------------------------------------------------------ *)
-(* Values and operators (identical semantics to Rt.Interp)             *)
-(* ------------------------------------------------------------------ *)
-
-let as_int loc = function
-  | Rt.Value.VInt n -> n
-  | v -> error loc "expected int, got %a" Rt.Value.pp v
-
-let as_bool loc = function
-  | Rt.Value.VBool b -> b
-  | v -> error loc "expected bool, got %a" Rt.Value.pp v
-
-let as_arr loc = function
-  | Rt.Value.VArr a -> a
-  | v -> error loc "expected array, got %a" Rt.Value.pp v
-
-let eval_binop loc op (a : Rt.Value.t) (b : Rt.Value.t) : Rt.Value.t =
-  let open Ast in
-  match (op, a, b) with
-  | Add, VInt x, VInt y -> VInt (x + y)
-  | Sub, VInt x, VInt y -> VInt (x - y)
-  | Mul, VInt x, VInt y -> VInt (x * y)
-  | Div, VInt _, VInt 0 -> error loc "division by zero"
-  | Div, VInt x, VInt y -> VInt (x / y)
-  | Mod, VInt _, VInt 0 -> error loc "modulo by zero"
-  | Mod, VInt x, VInt y -> VInt (x mod y)
-  | Add, VFloat x, VFloat y -> VFloat (x +. y)
-  | Sub, VFloat x, VFloat y -> VFloat (x -. y)
-  | Mul, VFloat x, VFloat y -> VFloat (x *. y)
-  | Div, VFloat x, VFloat y -> VFloat (x /. y)
-  | Eq, VInt x, VInt y -> VBool (x = y)
-  | Ne, VInt x, VInt y -> VBool (x <> y)
-  | Lt, VInt x, VInt y -> VBool (x < y)
-  | Le, VInt x, VInt y -> VBool (x <= y)
-  | Gt, VInt x, VInt y -> VBool (x > y)
-  | Ge, VInt x, VInt y -> VBool (x >= y)
-  | Eq, VFloat x, VFloat y -> VBool (x = y)
-  | Ne, VFloat x, VFloat y -> VBool (x <> y)
-  | Lt, VFloat x, VFloat y -> VBool (x < y)
-  | Le, VFloat x, VFloat y -> VBool (x <= y)
-  | Gt, VFloat x, VFloat y -> VBool (x > y)
-  | Ge, VFloat x, VFloat y -> VBool (x >= y)
-  | Eq, VBool x, VBool y -> VBool (x = y)
-  | Ne, VBool x, VBool y -> VBool (x <> y)
-  | _ ->
-      error loc "operator '%s' applied to %a and %a" (string_of_binop op)
-        Rt.Value.pp a Rt.Value.pp b
-
-(* Draw an array id; monitored runs also register the cell block with
-   the shared interner.  Drawing the id under the same lock keeps
-   registration order dense in aid (Addr.Intern's invariant) even when
-   workers allocate concurrently, and the base is published to the
-   copy-on-write mirror before the VArr can escape. *)
-let fresh_aid st len =
-  match st.eng.mon with
-  | None -> 1 + Atomic.fetch_and_add st.eng.aid 1
-  | Some m ->
-      Mutex.lock m.intern_mu;
-      let aid = 1 + Atomic.fetch_and_add st.eng.aid 1 in
-      Rt.Addr.Intern.register_array m.intern ~aid ~len;
-      let base = Rt.Addr.Intern.cell_id m.intern ~aid ~idx:0 in
-      let b = Atomic.get m.bases in
-      let b =
-        if aid < Array.length b then b
-        else begin
-          let bigger = Array.make (max (aid + 1) (2 * Array.length b)) (-1) in
-          Array.blit b 0 bigger 0 (Array.length b);
-          Atomic.set m.bases bigger;
-          bigger
-        end
-      in
-      b.(aid) <- base;
-      Mutex.unlock m.intern_mu;
-      aid
-
-let rec alloc_array st loc base dims : Rt.Value.t =
-  match dims with
-  | [] -> assert false
-  | [ n ] ->
-      if n < 0 then error loc "negative array dimension %d" n;
-      charge st (n * Rt.Cost.array_cell_alloc);
-      let aid = fresh_aid st n in
-      Rt.Value.VArr { aid; cells = Array.make n (Rt.Value.zero base) }
-  | n :: rest ->
-      if n < 0 then error loc "negative array dimension %d" n;
-      charge st (n * Rt.Cost.array_cell_alloc);
-      let aid = fresh_aid st n in
-      let cells = Array.init n (fun _ -> alloc_array st loc base rest) in
-      Rt.Value.VArr { aid; cells }
+let cell_addr m aid idx =
+  let b = Atomic.get m.bases in
+  if aid < Array.length b && Array.unsafe_get b aid >= 0 then
+    Array.unsafe_get b aid + idx
+  else
+    Mutex.protect m.intern_mu (fun () ->
+        Rt.Addr.Intern.cell_id m.intern ~aid ~idx)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling primitives                                               *)
@@ -457,356 +283,48 @@ let backoff_sleep failures =
   if failures < 4 then Domain.cpu_relax ()
   else Unix.sleepf (Float.min 5e-4 (2e-5 *. float_of_int failures))
 
-(* ------------------------------------------------------------------ *)
-(* Interpreter core                                                    *)
-(* ------------------------------------------------------------------ *)
+(* Run [t] to completion on worker [w].  Never raises: failures poison
+   the engine; the pending count is always decremented so joins cannot
+   hang. *)
+let run_task eng (w : worker) (t : task) : unit =
+  let x = t.t_st.x in
+  let fin = x.fin in
+  x.w <- w;
+  (try t.t_run t.t_st t.t_stmt with
+  | Abort -> ()
+  | Rt.Eval.Return_v _ ->
+      (* the typechecker rejects [return] crossing an async boundary *)
+      ()
+  | e -> poison_with eng e);
+  (* End the task before releasing the join: the finish's pending-count
+     atomic then orders this event before the joiner's on_finish_end. *)
+  (match eng.mon with
+  | Some m -> m.em.Emon.on_task_end ~task:x.mtok ~fin:fin.ftok
+  | None -> ());
+  ignore (Atomic.fetch_and_add fin.pending (-1))
 
-(* Enter a structural scope, mirroring Rt.Interp.in_structural for the
-   step-origin cursor: the current step closes, the body runs with its
-   own block cursor, and the step resumes (re-latching lazily) at the
-   saved (bid, idx) afterwards. *)
-let in_scope st ~body_bid f =
-  mclose st;
-  let saved_bid = st.sbid and saved_idx = st.sidx in
-  st.sbid <- body_bid;
-  let restore () =
-    mclose st;
-    st.sbid <- saved_bid;
-    st.sidx <- saved_idx
-  in
-  Fun.protect ~finally:restore f
+let run_pooled eng (w : worker) =
+  run_task eng w (Pool.take eng.pool (Tdrutil.Prng.int w.rng eng.pool.len))
 
-let rec eval st (e : Ast.expr) : Rt.Value.t =
-  charge st Rt.Cost.expr_node;
-  match e.e with
-  | Int n -> VInt n
-  | Float f -> VFloat f
-  | Bool b -> VBool b
-  | Str s -> VStr s
-  | Var x -> (
-      match lookup_local st x with
-      | Some r -> !r
-      | None -> (
-          match Hashtbl.find_opt st.eng.globals x with
-          | Some g ->
-              maccess st g.gaddr Rt.Monitor.Read;
-              !(g.gval)
-          | None -> error e.eloc "unbound variable '%s'" x))
-  | Bin (And, a, b) ->
-      if as_bool a.eloc (eval st a) then eval st b else VBool false
-  | Bin (Or, a, b) ->
-      if as_bool a.eloc (eval st a) then VBool true else eval st b
-  | Bin (op, a, b) ->
-      let va = eval st a in
-      let vb = eval st b in
-      eval_binop e.eloc op va vb
-  | Un (Neg, a) -> (
-      match eval st a with
-      | VInt n -> VInt (-n)
-      | VFloat f -> VFloat (-.f)
-      | v -> error e.eloc "unary '-' applied to %a" Rt.Value.pp v)
-  | Un (Not, a) -> VBool (not (as_bool a.eloc (eval st a)))
-  | Idx (a, i) ->
-      let arr = as_arr a.eloc (eval st a) in
-      let i = as_int i.eloc (eval st i) in
-      if i < 0 || i >= Array.length arr.cells then
-        error e.eloc "index %d out of bounds [0..%d)" i (Array.length arr.cells);
-      if st.monitored then maccess st (cell_addr st arr.aid i) Rt.Monitor.Read;
-      arr.cells.(i)
-  | NewArr (base, dims) ->
-      let dims = List.map (fun d -> as_int d.Ast.eloc (eval st d)) dims in
-      alloc_array st e.eloc base dims
-  | Call (name, args) ->
-      let vargs = List.map (eval st) args in
-      if Builtins.is_builtin name then eval_builtin st e.eloc name vargs
-      else call_function st e.eloc name vargs
-
-and eval_builtin st loc name (args : Rt.Value.t list) : Rt.Value.t =
-  charge st Rt.Cost.builtin_overhead;
-  match (name, args) with
-  | "alen", [ VArr a ] -> VInt (Array.length a.cells)
-  | "print", [ v ] ->
-      let line = Fmt.str "%a" Rt.Value.pp v in
-      Mutex.lock st.eng.buf_mu;
-      Buffer.add_string st.eng.buf line;
-      Buffer.add_char st.eng.buf '\n';
-      Mutex.unlock st.eng.buf_mu;
-      VUnit
-  | "work", [ VInt n ] ->
-      if n < 0 then error loc "work(%d): negative amount" n;
-      charge st n;
-      VUnit
-  | "cas", [ VArr a; VInt i; VInt old_v; VInt new_v ] ->
-      (* Atomic here for real: concurrent claimants must serialize. *)
-      if i < 0 || i >= Array.length a.cells then
-        error loc "cas: index %d out of bounds [0..%d)" i (Array.length a.cells);
-      Mutex.lock st.eng.cas_mu;
-      let won = a.cells.(i) = VInt old_v in
-      if won then a.cells.(i) <- VInt new_v;
-      Mutex.unlock st.eng.cas_mu;
-      VBool won
-  | "float", [ VInt n ] -> VFloat (float_of_int n)
-  | "int", [ VFloat f ] -> VInt (int_of_float f)
-  | "sqrt", [ VFloat f ] -> VFloat (sqrt f)
-  | "sin", [ VFloat f ] -> VFloat (sin f)
-  | "cos", [ VFloat f ] -> VFloat (cos f)
-  | "fabs", [ VFloat f ] -> VFloat (abs_float f)
-  | "pow", [ VFloat a; VFloat b ] -> VFloat (a ** b)
-  | "log", [ VFloat f ] -> VFloat (log f)
-  | "exp", [ VFloat f ] -> VFloat (exp f)
-  | _ ->
-      error loc "builtin '%s' applied to (%a)" name
-        Fmt.(list ~sep:comma Rt.Value.pp)
-        args
-
-and call_function st loc name (args : Rt.Value.t list) : Rt.Value.t =
-  let f =
-    match Hashtbl.find_opt st.eng.funcs name with
-    | Some f -> f
-    | None -> error loc "unknown function '%s'" name
-  in
-  charge st Rt.Cost.call_overhead;
-  in_scope st ~body_bid:f.body.bid (fun () ->
-      let saved_locals = st.locals in
-      st.locals <- [ Hashtbl.create 8 ];
-      List.iter2 (fun (x, _ty) v -> declare_local st x v) f.params args;
-      push_frame st;
-      let restore () = st.locals <- saved_locals in
-      Fun.protect ~finally:restore (fun () ->
-          match exec_stmts st f.body.stmts with
-          | () -> Rt.Value.VUnit
-          | exception Return_v v -> v))
-
-and exec_stmts st (stmts : Ast.stmt list) : unit =
-  List.iteri
-    (fun i s ->
-      st.sidx <- i;
-      maybe_yield st;
-      exec_stmt st s)
-    stmts
-
-and exec_body st (body : Ast.stmt) : unit =
-  match body.s with
-  | Ast.Block b -> in_frame st (fun () -> exec_stmts st b.stmts)
-  | _ ->
-      error body.sloc
-        "program not normalized (async/finish body); compile with \
-         Front.compile"
-
-and exec_stmt st (stmt : Ast.stmt) : unit =
-  (match stmt.s with
-  | Async _ | Finish _ | Isolated _ | Block _ -> ()
-  | _ -> charge st Rt.Cost.stmt);
-  match stmt.s with
-  | Decl (_m, x, _ty, init) ->
-      let v = eval st init in
-      declare_local st x v
-  | Assign (x, [], rhs) -> (
-      let v = eval st rhs in
-      match lookup_local st x with
-      | Some r -> r := v
-      | None -> (
-          match Hashtbl.find_opt st.eng.globals x with
-          | Some g ->
-              maccess st g.gaddr Rt.Monitor.Write;
-              g.gval := v
-          | None -> error stmt.sloc "unbound variable '%s'" x))
-  | Assign (x, path, rhs) ->
-      let base =
-        match lookup_local st x with
-        | Some r -> !r
-        | None -> (
-            match Hashtbl.find_opt st.eng.globals x with
-            | Some g ->
-                maccess st g.gaddr Rt.Monitor.Read;
-                !(g.gval)
-            | None -> error stmt.sloc "unbound variable '%s'" x)
-      in
-      let rec walk v = function
-        | [] -> assert false
-        | [ last ] ->
-            let arr = as_arr stmt.sloc v in
-            let i = as_int last.Ast.eloc (eval st last) in
-            if i < 0 || i >= Array.length arr.cells then
-              error stmt.sloc "index %d out of bounds [0..%d)" i
-                (Array.length arr.cells);
-            let rhs_v = eval st rhs in
-            if st.monitored then
-              maccess st (cell_addr st arr.aid i) Rt.Monitor.Write;
-            arr.cells.(i) <- rhs_v
-        | idx :: rest ->
-            let arr = as_arr stmt.sloc v in
-            let i = as_int idx.Ast.eloc (eval st idx) in
-            if i < 0 || i >= Array.length arr.cells then
-              error stmt.sloc "index %d out of bounds [0..%d)" i
-                (Array.length arr.cells);
-            if st.monitored then
-              maccess st (cell_addr st arr.aid i) Rt.Monitor.Read;
-            walk arr.cells.(i) rest
-      in
-      walk base path
-  | If (c, a, b) ->
-      if as_bool c.eloc (eval st c) then exec_scope_body st a
-      else Option.iter (exec_scope_body st) b
-  | While (c, body) ->
-      while as_bool c.eloc (eval st c) do
-        exec_scope_body st body
-      done
-  | For (iv, lo, hi, by, body) ->
-      let lo = as_int lo.eloc (eval st lo) in
-      let hi = as_int hi.eloc (eval st hi) in
-      let step =
-        match by with
-        | None -> 1
-        | Some e -> (
-            match as_int e.eloc (eval st e) with
-            | 0 -> error stmt.sloc "for step must be non-zero"
-            | s -> s)
-      in
-      let i = ref lo in
-      let continue () = if step > 0 then !i <= hi else !i >= hi in
-      while continue () do
-        exec_for_iteration st iv !i body;
-        i := !i + step
-      done
-  | Return None -> raise (Return_v Rt.Value.VUnit)
-  | Return (Some e) ->
-      let v = eval st e in
-      raise (Return_v v)
-  | Async body -> (
-      match body.s with
-      | Ast.Block _ ->
-          mclose st;
-          spawn st body;
-          mclose st
-      | _ ->
-          error stmt.sloc
-            "program not normalized (async); compile with Front.compile")
-  | Finish body -> (
-      match body.s with
-      | Ast.Block b ->
-          let fin = { pending = Atomic.make 0; ftok = -1 } in
-          (match st.eng.mon with
-          | Some m -> fin.ftok <- m.em.Emon.on_finish_begin ~task:st.mtok
-          | None -> ());
-          in_scope st ~body_bid:b.bid (fun () ->
-              let saved = st.fin in
-              st.fin <- fin;
-              Fun.protect
-                ~finally:(fun () -> st.fin <- saved)
-                (fun () -> exec_body st body));
-          wait_fin st fin;
-          (match st.eng.mon with
-          | Some m -> m.em.Emon.on_finish_end ~task:st.mtok ~fin:fin.ftok
-          | None -> ())
-      | _ ->
-          error stmt.sloc
-            "program not normalized (finish); compile with Front.compile")
-  | Isolated body -> (
-      match body.s with
-      | Ast.Block b ->
-          (* Global mutual exclusion.  In Fuzz mode all tasks share one
-             worker, so instead of a (self-deadlocking) lock we pin the
-             scheduler: [atomic > 0] disables the statement-boundary
-             yields, making the section atomic by construction. *)
-          let run () =
-            in_scope st ~body_bid:b.bid (fun () -> exec_body st body)
-          in
-          st.atomic <- st.atomic + 1;
-          let finally () = st.atomic <- st.atomic - 1 in
-          Fun.protect ~finally (fun () ->
-              if st.eng.is_fuzz then run ()
-              else begin
-                Mutex.lock st.eng.iso_mu;
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock st.eng.iso_mu)
-                  run
-              end)
-      | _ ->
-          error stmt.sloc
-            "program not normalized (isolated); compile with Front.compile")
-  | Block b ->
-      in_scope st ~body_bid:b.bid (fun () ->
-          in_frame st (fun () -> exec_stmts st b.stmts))
-  | Expr e -> ignore (eval st e)
-
-and exec_scope_body st (body : Ast.stmt) : unit =
-  match body.s with
-  | Ast.Block _ -> exec_stmt st body
-  | _ ->
-      error body.sloc
-        "program not normalized (branch/loop body); compile with \
-         Front.compile"
-
-and exec_for_iteration st iv i body =
-  match body.s with
-  | Ast.Block b ->
-      in_scope st ~body_bid:b.bid (fun () ->
-          in_frame st (fun () ->
-              declare_local st iv (Rt.Value.VInt i);
-              exec_stmts st b.stmts))
-  | _ ->
-      error body.sloc
-        "program not normalized (for body); compile with Front.compile"
-
-(* -------------------------- scheduling ----------------------------- *)
-
-and spawn st (body : Ast.stmt) : unit =
-  let eng = st.eng in
-  let fin = st.fin in
-  Atomic.incr eng.n_tasks;
-  Atomic.incr fin.pending;
-  let t_mtok =
-    match eng.mon with
-    | Some m -> m.em.Emon.on_task_begin ~parent:st.mtok
-    | None -> -1
-  in
-  let t = { t_body = body; t_env = snapshot_env st; t_fin = fin; t_mtok } in
-  if eng.is_fuzz then begin
-    if Tdrutil.Prng.int st.w.rng 100 < eng.policy.inline_pct then begin
-      st.w.n_inlined <- st.w.n_inlined + 1;
-      run_task eng st.w t
-    end
-    else begin
-      st.w.n_pooled <- st.w.n_pooled + 1;
-      Pool.push eng.pool t
-    end
-  end
-  else Deque.push st.w.deque t
-
-(* Fuzz mode only: at a statement boundary, maybe run a pooled task now.
-   This lets a deferred sibling interleave between the parent's
-   statements instead of only before-all (inline) or after-all (finish
-   join). *)
-and maybe_yield st =
-  let eng = st.eng in
-  if
-    eng.is_fuzz && (not st.quiet) && st.atomic = 0 && eng.pool.len > 0
-    && Tdrutil.Prng.int st.w.rng 100 < eng.policy.yield_pct
-  then begin
-    st.w.n_yields <- st.w.n_yields + 1;
-    run_task eng st.w (Pool.take eng.pool (Tdrutil.Prng.int st.w.rng eng.pool.len))
-  end
-
-and wait_fin st (fin : finish) : unit =
-  let eng = st.eng in
+let wait_fin (st : st) (fin : finish) : unit =
+  let eng = st.x.eng in
   if eng.is_fuzz then begin
     while Atomic.get fin.pending > 0 do
       if poisoned eng then raise Abort;
       if eng.pool.len = 0 then
         (* cannot happen: single worker, so every pending task is pooled *)
         invalid_arg "Par.Engine: pending tasks but empty pool";
-      run_task eng st.w (Pool.take eng.pool (Tdrutil.Prng.int st.w.rng eng.pool.len))
+      run_pooled eng st.x.w
     done;
     if poisoned eng then raise Abort
   end
   else begin
     let failures = ref 0 in
     while Atomic.get fin.pending > 0 && not (poisoned eng) do
-      match try_get eng st.w with
+      match try_get eng st.x.w with
       | Some t ->
           failures := 0;
-          run_task eng st.w t
+          run_task eng st.x.w t
       | None ->
           incr failures;
           backoff_sleep !failures
@@ -814,30 +332,172 @@ and wait_fin st (fin : finish) : unit =
     if Atomic.get fin.pending > 0 then raise Abort
   end
 
-(* Run [t] to completion on worker [w].  Never raises: failures poison
-   the engine; the pending count is always decremented so joins cannot
-   hang. *)
-and run_task eng (w : worker) (t : task) : unit =
-  let body_bid =
-    match t.t_body.s with Ast.Block b -> b.bid | _ -> -1
-  in
-  let st =
-    { eng; w; locals = t.t_env; fin = t.t_fin; quiet = false; atomic = 0;
-      monitored = eng.mon <> None; mtok = t.t_mtok;
-      sbid = body_bid; sidx = 0; obid = -1; oidx = 0 }
-  in
-  (try exec_body st t.t_body with
-  | Abort -> ()
-  | Return_v _ ->
-      (* the typechecker rejects [return] crossing an async boundary *)
-      ()
-  | e -> poison_with eng e);
-  (* End the task before releasing the join: the finish's pending-count
-     atomic then orders this event before the joiner's on_finish_end. *)
-  (match eng.mon with
-  | Some m -> m.em.Emon.on_task_end ~task:t.t_mtok ~fin:t.t_fin.ftok
-  | None -> ());
-  ignore (Atomic.fetch_and_add t.t_fin.pending (-1))
+(* ------------------------------------------------------------------ *)
+(* The executor                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Exec = struct
+  type t = tstate
+
+  (* Fuel is settled against the global counter only once a worker's
+     batch would reach [batch_limit]. *)
+  let charge (st : st) n =
+    let x = st.x in
+    let w = x.w in
+    if not st.quiet then begin
+      w.work <- w.work + n;
+      (* first charge since the last structural transition: this is
+         where the depth-first executor opens the step *)
+      if x.monitored then latch st;
+      if x.eng.pace_ns > 0 then
+        w.pace_debt_ns <- w.pace_debt_ns +. float_of_int (n * x.eng.pace_ns)
+    end;
+    if n >= x.eng.batch_limit - w.batch then flush st n
+    else w.batch <- w.batch + n
+
+  (* Deliver a monitored access at the latched step origin. *)
+  let access (st : st) addr kind =
+    match st.x.eng.mon with
+    | Some m when not st.quiet ->
+        latch st;
+        m.em.Emon.on_access ~task:st.x.mtok ~bid:st.x.obid ~idx:st.x.oidx addr
+          kind
+    | _ -> ()
+
+  let access_cell (st : st) aid idx kind =
+    match st.x.eng.mon with
+    | Some m when not st.quiet -> access st (cell_addr m aid idx) kind
+    | _ -> ()
+
+  (* Draw an array id; monitored runs also register the cell block with
+     the shared interner.  Drawing the id under the same lock keeps
+     registration order dense in aid (Addr.Intern's invariant) even when
+     workers allocate concurrently, and the base is published to the
+     copy-on-write mirror before the VArr can escape. *)
+  let fresh_aid (st : st) len =
+    let eng = st.x.eng in
+    match eng.mon with
+    | None -> 1 + Atomic.fetch_and_add eng.aid 1
+    | Some m ->
+        Mutex.protect m.intern_mu (fun () ->
+            let aid = 1 + Atomic.fetch_and_add eng.aid 1 in
+            Rt.Addr.Intern.register_array m.intern ~aid ~len;
+            let b = Atomic.get m.bases in
+            let b =
+              if aid < Array.length b then b
+              else begin
+                let bigger =
+                  Array.make (max (aid + 1) (2 * Array.length b)) (-1)
+                in
+                Array.blit b 0 bigger 0 (Array.length b);
+                Atomic.set m.bases bigger;
+                bigger
+              end
+            in
+            b.(aid) <- Rt.Addr.Intern.cell_id m.intern ~aid ~idx:0;
+            aid)
+
+  let print (st : st) line =
+    let eng = st.x.eng in
+    Mutex.protect eng.buf_mu (fun () ->
+        Buffer.add_string eng.buf line;
+        Buffer.add_char eng.buf '\n')
+
+  (* Atomic here for real: concurrent claimants must serialize. *)
+  let cas (st : st) cells i old_v new_v =
+    Mutex.protect st.x.eng.cas_mu (fun () ->
+        Rt.Eval.cas_cell cells i old_v new_v)
+
+  (* Fuzz mode only: at a statement boundary, maybe run a pooled task
+     now.  This lets a deferred sibling interleave between the parent's
+     statements instead of only before-all (inline) or after-all (finish
+     join). *)
+  let at_stmt (st : st) =
+    let eng = st.x.eng and w = st.x.w in
+    if
+      eng.is_fuzz && (not st.quiet) && st.x.atomic = 0 && eng.pool.len > 0
+      && Tdrutil.Prng.int w.rng 100 < eng.policy.yield_pct
+    then begin
+      w.n_yields <- w.n_yields + 1;
+      run_pooled eng w
+    end
+
+  let enter st _kind ~sid:_ ~body_bid:_ = mclose st
+
+  let leave st = mclose st
+
+  (* Spawn: the child gets a snapshot of the frames.  The typechecker
+     only lets an async body read immutable ([val]) outer locals declared
+     before the async, so copying the frames at the spawn point is
+     observationally identical to sharing them — and it keeps Hashtbl
+     structure single-domain. *)
+  let async (st : st) (s : Ast.stmt) run =
+    mclose st;
+    let x = st.x in
+    let eng = x.eng in
+    Atomic.incr eng.n_tasks;
+    Atomic.incr x.fin.pending;
+    let mtok =
+      match eng.mon with
+      | Some m -> m.em.Emon.on_task_begin ~parent:x.mtok
+      | None -> -1
+    in
+    let t_st =
+      {
+        st with
+        x = { x with atomic = 0; mtok; obid = -1; oidx = 0 };
+        locals = List.map Hashtbl.copy st.locals;
+        bid = -1;
+        idx = 0;
+        quiet = false;
+      }
+    in
+    let t = { t_stmt = s; t_run = run; t_st } in
+    (if eng.is_fuzz then begin
+       if Tdrutil.Prng.int x.w.rng 100 < eng.policy.inline_pct then begin
+         x.w.n_inlined <- x.w.n_inlined + 1;
+         run_task eng x.w t
+       end
+       else begin
+         x.w.n_pooled <- x.w.n_pooled + 1;
+         Pool.push eng.pool t
+       end
+     end
+     else Deque.push x.w.deque t);
+    mclose st
+
+  let finish (st : st) s run =
+    let x = st.x in
+    let fin = { pending = Atomic.make 0; ftok = -1 } in
+    (match x.eng.mon with
+    | Some m -> fin.ftok <- m.em.Emon.on_finish_begin ~task:x.mtok
+    | None -> ());
+    let saved = x.fin in
+    x.fin <- fin;
+    (match run st s with
+    | () -> x.fin <- saved
+    | exception e ->
+        x.fin <- saved;
+        raise e);
+    wait_fin st fin;
+    match x.eng.mon with
+    | Some m -> m.em.Emon.on_finish_end ~task:x.mtok ~fin:fin.ftok
+    | None -> ()
+
+  (* Global mutual exclusion.  In Fuzz mode all tasks share one worker,
+     so instead of a (self-deadlocking) lock we pin the scheduler:
+     [atomic > 0] disables the statement-boundary yields, making the
+     section atomic by construction. *)
+  let isolated (st : st) s run =
+    let x = st.x in
+    x.atomic <- x.atomic + 1;
+    let finally () = x.atomic <- x.atomic - 1 in
+    Fun.protect ~finally (fun () ->
+        if x.eng.is_fuzz then run st s
+        else Mutex.protect x.eng.iso_mu (fun () -> run st s))
+end
+
+module E = Rt.Eval.Make (Exec)
 
 (* ------------------------------------------------------------------ *)
 (* Worker loop and whole-program execution                             *)
@@ -859,13 +519,7 @@ let worker_loop eng (w : worker) =
 
 let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ?emon ~mode
     (prog : Ast.program) : result =
-  if not (Normalize.is_normalized prog) then
-    error Loc.dummy "program must be normalized (use Front.compile)";
-  let main =
-    match Ast.find_func prog "main" with
-    | Some f -> f
-    | None -> error Loc.dummy "program has no 'main' function"
-  in
+  let main = Rt.Eval.main_of prog in
   let is_fuzz, n_domains, seed =
     match mode with
     | Fuzz { seed } -> (true, 1, seed)
@@ -906,8 +560,6 @@ let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ?emon ~mode
   in
   let eng =
     {
-      funcs = Hashtbl.create 16;
-      globals = Hashtbl.create 16;
       mon;
       fuel = Atomic.make fuel;
       aid = Atomic.make 0;
@@ -928,12 +580,12 @@ let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ?emon ~mode
       n_steals = Atomic.make 0;
     }
   in
-  List.iter (fun (f : Ast.func) -> Hashtbl.replace eng.funcs f.fname f) prog.funcs;
   let root = { pending = Atomic.make 0; ftok = -1 } in
   let st0 =
-    { eng; w = workers.(0); locals = [ Hashtbl.create 8 ]; fin = root;
-      quiet = false; atomic = 0; monitored = mon <> None; mtok = -1;
-      sbid = main.body.bid; sidx = 0; obid = -1; oidx = 0 }
+    Rt.Eval.start
+      { eng; w = workers.(0); fin = root; atomic = 0; monitored = mon <> None;
+        mtok = -1; obid = -1; oidx = 0 }
+      prog main
   in
   (* Globals are interned up front (ids 0.. in declaration order, before
      any array registration), as in Rt.Interp. *)
@@ -952,17 +604,11 @@ let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ?emon ~mode
   (* Global initializers are sequenced before every task: run them before
      any other domain exists, then never touch the table's structure
      again (only the refs and arrays it holds). *)
-  st0.quiet <- true;
-  List.iter
-    (fun ((g : Ast.global), gaddr) ->
-      let v = eval st0 g.ginit in
-      Hashtbl.replace eng.globals g.gname { gval = ref v; gaddr })
-    gaddrs;
-  st0.quiet <- false;
+  E.init_globals st0 gaddrs;
   (match mon with
   | Some m ->
-      st0.mtok <- m.em.Emon.on_task_begin ~parent:(-1);
-      root.ftok <- m.em.Emon.on_finish_begin ~task:st0.mtok
+      st0.x.mtok <- m.em.Emon.on_task_begin ~parent:(-1);
+      root.ftok <- m.em.Emon.on_finish_begin ~task:st0.x.mtok
   | None -> ());
   let t_start = Unix.gettimeofday () in
   let doms =
@@ -970,13 +616,12 @@ let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ?emon ~mode
         Domain.spawn (fun () -> worker_loop eng workers.(i + 1)))
   in
   (try
-     (try in_frame st0 (fun () -> exec_stmts st0 main.body.stmts)
-      with Return_v _ -> ());
+     E.run_main st0 main;
      wait_fin st0 root;
      match mon with
      | Some m ->
-         m.em.Emon.on_finish_end ~task:st0.mtok ~fin:root.ftok;
-         m.em.Emon.on_task_end ~task:st0.mtok ~fin:(-1)
+         m.em.Emon.on_finish_end ~task:st0.x.mtok ~fin:root.ftok;
+         m.em.Emon.on_task_end ~task:st0.x.mtok ~fin:(-1)
      | None -> ()
    with
   | Abort -> ()
@@ -985,10 +630,7 @@ let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ?emon ~mode
   Array.iter Domain.join doms;
   let wall_s = Unix.gettimeofday () -. t_start in
   (match Atomic.get eng.poison with Some e -> raise e | None -> ());
-  let globals =
-    Hashtbl.fold (fun name g acc -> (name, !(g.gval)) :: acc) eng.globals []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
+  let globals = Rt.Eval.globals_of st0 in
   let sum f = Array.fold_left (fun acc w -> acc + f w) 0 workers in
   let sched =
     if is_fuzz then

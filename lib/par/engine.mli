@@ -1,8 +1,9 @@
 (** Parallel async-finish execution backend on OCaml 5 domains.
 
     Runs a normalized Mini-HJ program for real — [async] bodies execute
-    concurrently instead of depth-first — with the same value semantics
-    and cost model as {!Rt.Interp}.  Two modes:
+    concurrently instead of depth-first.  It drives the same evaluator
+    ({!Rt.Eval}) as {!Rt.Interp}, so values, costs and runtime errors are
+    the same; only the schedule differs.  Two modes:
 
     - {!Domains}: [n] workers on [n] domains, help-first work stealing
       over per-worker Chase-Lev {!Deque}s; [seed] drives victim

@@ -3,10 +3,12 @@
     The paper's analyses all run over the {e canonical sequential
     (depth-first) execution} of the parallel program: an [async] body runs
     to completion at its spawn point, exactly like the serial elision, while
-    the S-DPST records the parallel structure.  This interpreter performs
-    that execution, builds the S-DPST, charges abstract {!Cost} units to the
-    current step, and reports structural transitions and shared-memory
-    accesses to an optional {!Monitor}.
+    the S-DPST records the parallel structure.  This module is the
+    depth-first executor of the shared {!Eval}uator: it performs that
+    execution, builds the S-DPST, charges abstract {!Cost} units to the
+    current step (against fuel and the {!Watchdog} at every charge), and
+    reports structural transitions and shared-memory accesses to an
+    optional {!Monitor}.
 
     Structural mapping from program to S-DPST:
     - the root node stands for [main]'s task and its implicit finish;
@@ -22,472 +24,124 @@
 
 open Mhj
 
-exception Runtime_error of string * Loc.t
+exception Runtime_error = Eval.Runtime_error
 
-exception Out_of_fuel
-
-exception Return_v of Value.t
-
-let error loc fmt = Fmt.kstr (fun m -> raise (Runtime_error (m, loc))) fmt
-
-type frame = (string, Value.t ref) Hashtbl.t
+exception Out_of_fuel = Eval.Out_of_fuel
 
 type result = {
-  output : string;  (** everything [print]ed, one line per call *)
-  tree : Sdpst.Node.tree;  (** the S-DPST of the execution *)
-  work : int;  (** total cost units charged (serial execution time) *)
+  output : string;
+  tree : Sdpst.Node.tree;
+  work : int;
   globals : (string * Value.t) list;
-      (** final global-variable state, sorted by name — the reference the
-          parallel backend's schedule-fuzzing differential checks compare
-          against (digest with {!Value.digest_globals}) *)
   intern : Addr.Intern.t;
-      (** the run's address interner: resolves the interned ids reported
-          to the monitor back to boxed {!Addr.t}s *)
 }
 
-(* A global's slot caches its interned address so the monitored read/write
-   path reports it without re-resolving the name. *)
-type gslot = { gval : Value.t ref; gaddr : int }
-
-type state = {
-  funcs : (string, Ast.func) Hashtbl.t;
-  globals : (string, gslot) Hashtbl.t;
-  intern : Addr.Intern.t;
-  mutable locals : frame list;
+(* The depth-first executor's part of the evaluator state. *)
+type dfs = {
   tree : Sdpst.Node.tree;
-  mutable parent : Sdpst.Node.t;
-  mutable step : Sdpst.Node.t option;
-  mutable bid : int;  (** block whose statements are currently executing *)
-  mutable idx : int;  (** index of the current statement within [bid] *)
+  mutable parent : Sdpst.Node.t;  (** innermost open structural node *)
+  mutable step : Sdpst.Node.t option;  (** the open step, if any *)
   monitor : Monitor.t;
+  intern : Addr.Intern.t;
   buf : Buffer.t;
   mutable fuel : int;
   mutable work : int;
   mutable aid : int;
-  mutable quiet : bool;  (** global-initializer mode: cost but no steps *)
-  mutable max_live_depth : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Steps and cost                                                      *)
-(* ------------------------------------------------------------------ *)
+module Dfs = struct
+  type t = dfs
 
-let ensure_step st =
-  match st.step with
-  | Some s -> s
-  | None ->
-      let s =
-        Sdpst.Node.new_child st.tree ~parent:st.parent ~kind:Sdpst.Node.Step
-          ~origin_bid:st.bid ~origin_idx:st.idx ()
-      in
-      st.step <- Some s;
-      s
+  (* A step opens lazily, at the first charge or access after a
+     structural transition, with the cursor's (bid, idx) as its origin. *)
+  let ensure_step (st : t Eval.state) =
+    let d = st.x in
+    match d.step with
+    | Some s -> s
+    | None ->
+        let s =
+          Sdpst.Node.new_child d.tree ~parent:d.parent ~kind:Sdpst.Node.Step
+            ~origin_bid:st.bid ~origin_idx:st.idx ()
+        in
+        d.step <- Some s;
+        s
 
-let close_step st = st.step <- None
+  let charge (st : t Eval.state) n =
+    let d = st.x in
+    d.fuel <- d.fuel - n;
+    if d.fuel < 0 then raise Out_of_fuel;
+    Watchdog.tick ();
+    if not st.quiet then begin
+      (* global-initializer (quiet) cost consumes fuel but is program
+         setup, not measured execution time: [work] equals the sum of
+         step costs *)
+      d.work <- d.work + n;
+      let s = ensure_step st in
+      s.cost <- s.cost + n;
+      if st.idx > s.last_idx then s.last_idx <- st.idx
+    end
 
-let charge st n =
-  st.fuel <- st.fuel - n;
-  if st.fuel < 0 then raise Out_of_fuel;
-  Watchdog.tick ();
-  if not st.quiet then begin
-    (* global-initializer (quiet) cost consumes fuel but is program setup,
-       not measured execution time: [work] equals the sum of step costs *)
-    st.work <- st.work + n;
-    let s = ensure_step st in
-    s.cost <- s.cost + n;
-    if st.idx > s.last_idx then s.last_idx <- st.idx
-  end
+  (* [addr] is an interned id (see Addr.Intern): a global's cached id or
+     a registered array's base plus the cell index — no boxed address is
+     built on the access path. *)
+  let access (st : t Eval.state) addr kind =
+    if not st.quiet then
+      let s = ensure_step st in
+      st.x.monitor.Monitor.on_access ~step:s ~bid:st.bid ~idx:st.idx addr kind
 
-(* [addr] is an interned id (see Addr.Intern): a global's cached id or a
-   registered array's base plus the cell index — no boxed address is built
-   on the access path. *)
-let access st addr kind =
-  if not st.quiet then
-    let s = ensure_step st in
-    st.monitor.Monitor.on_access ~step:s ~bid:st.bid ~idx:st.idx addr kind
+  let access_cell (st : t Eval.state) aid idx kind =
+    access st (Addr.Intern.cell_id st.x.intern ~aid ~idx) kind
 
-let cell_addr st aid idx = Addr.Intern.cell_id st.intern ~aid ~idx
+  let fresh_aid (st : t Eval.state) len =
+    let d = st.x in
+    d.aid <- d.aid + 1;
+    Addr.Intern.register_array d.intern ~aid:d.aid ~len;
+    d.aid
 
-(* Enter a structural (async/finish/scope) node: the current step ends, the
-   body runs under the new node with its own block cursor, and the step
-   resumes lazily afterwards at the same (bid, idx) position. *)
-let in_structural st ~kind ~sid ~body_bid f =
-  close_step st;
-  let node =
-    Sdpst.Node.new_child st.tree ~parent:st.parent ~kind ~sid
-      ~origin_bid:st.bid ~origin_idx:st.idx ~body_bid ()
-  in
-  if node.depth > st.max_live_depth then st.max_live_depth <- node.depth;
-  let saved_parent = st.parent and saved_bid = st.bid and saved_idx = st.idx in
-  st.parent <- node;
-  st.bid <- body_bid;
-  let restore () =
-    close_step st;
-    st.parent <- saved_parent;
-    st.bid <- saved_bid;
-    st.idx <- saved_idx
-  in
-  Fun.protect ~finally:restore (fun () -> f node)
+  let print (st : t Eval.state) line =
+    Buffer.add_string st.x.buf line;
+    Buffer.add_char st.x.buf '\n'
 
-let push_frame st = st.locals <- Hashtbl.create 8 :: st.locals
+  let cas _ = Eval.cas_cell
 
-let pop_frame st = st.locals <- List.tl st.locals
+  let at_stmt _ = ()
 
-let in_frame st f =
-  push_frame st;
-  Fun.protect ~finally:(fun () -> pop_frame st) f
+  let enter (st : t Eval.state) kind ~sid ~body_bid =
+    let d = st.x in
+    d.step <- None;
+    let node =
+      Sdpst.Node.new_child d.tree ~parent:d.parent ~kind ~sid
+        ~origin_bid:st.bid ~origin_idx:st.idx ~body_bid ()
+    in
+    d.parent <- node;
+    match kind with
+    | Async -> d.monitor.Monitor.on_task_begin node
+    | Finish -> d.monitor.Monitor.on_finish_begin node
+    | _ -> ()
 
-let lookup_local st x =
-  let rec go = function
-    | [] -> None
-    | fr :: rest -> (
-        match Hashtbl.find_opt fr x with Some r -> Some r | None -> go rest)
-  in
-  go st.locals
+  let leave (st : t Eval.state) =
+    let d = st.x in
+    let node = d.parent in
+    (match node.kind with
+    | Async -> d.monitor.Monitor.on_task_end node
+    | Finish -> d.monitor.Monitor.on_finish_end node
+    | _ -> ());
+    d.step <- None;
+    d.parent <- Option.get node.parent
 
-let declare_local st x v =
-  match st.locals with
-  | fr :: _ -> Hashtbl.replace fr x (ref v)
-  | [] -> invalid_arg "Interp.declare_local: no frame"
+  (* An async body runs to completion at its spawn point; sequential
+     execution is also a legal schedule of isolated's mutual exclusion,
+     so all three run their body in place.  Races between isolated
+     sections still surface in the S-DPST and are discharged statically
+     (Repair.Isolate). *)
+  let async st s run = run st s
 
-(* ------------------------------------------------------------------ *)
-(* Values and operators                                                *)
-(* ------------------------------------------------------------------ *)
+  let finish st s run = run st s
 
-let as_int loc = function
-  | Value.VInt n -> n
-  | v -> error loc "expected int, got %a" Value.pp v
+  let isolated st s run = run st s
+end
 
-let as_bool loc = function
-  | Value.VBool b -> b
-  | v -> error loc "expected bool, got %a" Value.pp v
-
-let as_arr loc = function
-  | Value.VArr a -> a
-  | v -> error loc "expected array, got %a" Value.pp v
-
-let eval_binop loc op (a : Value.t) (b : Value.t) : Value.t =
-  let open Ast in
-  match (op, a, b) with
-  | Add, VInt x, VInt y -> VInt (x + y)
-  | Sub, VInt x, VInt y -> VInt (x - y)
-  | Mul, VInt x, VInt y -> VInt (x * y)
-  | Div, VInt _, VInt 0 -> error loc "division by zero"
-  | Div, VInt x, VInt y -> VInt (x / y)
-  | Mod, VInt _, VInt 0 -> error loc "modulo by zero"
-  | Mod, VInt x, VInt y -> VInt (x mod y)
-  | Add, VFloat x, VFloat y -> VFloat (x +. y)
-  | Sub, VFloat x, VFloat y -> VFloat (x -. y)
-  | Mul, VFloat x, VFloat y -> VFloat (x *. y)
-  | Div, VFloat x, VFloat y -> VFloat (x /. y)
-  | Eq, VInt x, VInt y -> VBool (x = y)
-  | Ne, VInt x, VInt y -> VBool (x <> y)
-  | Lt, VInt x, VInt y -> VBool (x < y)
-  | Le, VInt x, VInt y -> VBool (x <= y)
-  | Gt, VInt x, VInt y -> VBool (x > y)
-  | Ge, VInt x, VInt y -> VBool (x >= y)
-  | Eq, VFloat x, VFloat y -> VBool (x = y)
-  | Ne, VFloat x, VFloat y -> VBool (x <> y)
-  | Lt, VFloat x, VFloat y -> VBool (x < y)
-  | Le, VFloat x, VFloat y -> VBool (x <= y)
-  | Gt, VFloat x, VFloat y -> VBool (x > y)
-  | Ge, VFloat x, VFloat y -> VBool (x >= y)
-  | Eq, VBool x, VBool y -> VBool (x = y)
-  | Ne, VBool x, VBool y -> VBool (x <> y)
-  | _ ->
-      error loc "operator '%s' applied to %a and %a" (string_of_binop op)
-        Value.pp a Value.pp b
-
-(* ------------------------------------------------------------------ *)
-(* Expressions                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let rec alloc_array st loc base dims : Value.t =
-  match dims with
-  | [] -> assert false
-  | [ n ] ->
-      if n < 0 then error loc "negative array dimension %d" n;
-      charge st (n * Cost.array_cell_alloc);
-      st.aid <- st.aid + 1;
-      Addr.Intern.register_array st.intern ~aid:st.aid ~len:n;
-      Value.VArr { aid = st.aid; cells = Array.make n (Value.zero base) }
-  | n :: rest ->
-      if n < 0 then error loc "negative array dimension %d" n;
-      charge st (n * Cost.array_cell_alloc);
-      st.aid <- st.aid + 1;
-      let aid = st.aid in
-      Addr.Intern.register_array st.intern ~aid ~len:n;
-      let cells = Array.init n (fun _ -> alloc_array st loc base rest) in
-      Value.VArr { aid; cells }
-
-let rec eval st (e : Ast.expr) : Value.t =
-  charge st Cost.expr_node;
-  match e.e with
-  | Int n -> VInt n
-  | Float f -> VFloat f
-  | Bool b -> VBool b
-  | Str s -> VStr s
-  | Var x -> (
-      match lookup_local st x with
-      | Some r -> !r
-      | None -> (
-          match Hashtbl.find_opt st.globals x with
-          | Some g ->
-              access st g.gaddr Monitor.Read;
-              !(g.gval)
-          | None -> error e.eloc "unbound variable '%s'" x))
-  | Bin (And, a, b) ->
-      if as_bool a.eloc (eval st a) then eval st b else VBool false
-  | Bin (Or, a, b) ->
-      if as_bool a.eloc (eval st a) then VBool true else eval st b
-  | Bin (op, a, b) ->
-      let va = eval st a in
-      let vb = eval st b in
-      eval_binop e.eloc op va vb
-  | Un (Neg, a) -> (
-      match eval st a with
-      | VInt n -> VInt (-n)
-      | VFloat f -> VFloat (-.f)
-      | v -> error e.eloc "unary '-' applied to %a" Value.pp v)
-  | Un (Not, a) -> VBool (not (as_bool a.eloc (eval st a)))
-  | Idx (a, i) ->
-      let arr = as_arr a.eloc (eval st a) in
-      let i = as_int i.eloc (eval st i) in
-      if i < 0 || i >= Array.length arr.cells then
-        error e.eloc "index %d out of bounds [0..%d)" i (Array.length arr.cells);
-      access st (cell_addr st arr.aid i) Monitor.Read;
-      arr.cells.(i)
-  | NewArr (base, dims) ->
-      let dims = List.map (fun d -> as_int d.Ast.eloc (eval st d)) dims in
-      alloc_array st e.eloc base dims
-  | Call (name, args) ->
-      let vargs = List.map (eval st) args in
-      if Builtins.is_builtin name then eval_builtin st e.eloc name vargs
-      else call_function st e.eloc name vargs
-
-and eval_builtin st loc name (args : Value.t list) : Value.t =
-  charge st Cost.builtin_overhead;
-  match (name, args) with
-  | "alen", [ VArr a ] -> VInt (Array.length a.cells)
-  | "print", [ v ] ->
-      Buffer.add_string st.buf (Fmt.str "%a" Value.pp v);
-      Buffer.add_char st.buf '\n';
-      VUnit
-  | "work", [ VInt n ] ->
-      if n < 0 then error loc "work(%d): negative amount" n;
-      charge st n;
-      VUnit
-  | "cas", [ VArr a; VInt i; VInt old_v; VInt new_v ] ->
-      (* Models HJ's atomic claim; exempt from race detection (DESIGN.md). *)
-      if i < 0 || i >= Array.length a.cells then
-        error loc "cas: index %d out of bounds [0..%d)" i (Array.length a.cells);
-      if a.cells.(i) = VInt old_v then begin
-        a.cells.(i) <- VInt new_v;
-        VBool true
-      end
-      else VBool false
-  | "float", [ VInt n ] -> VFloat (float_of_int n)
-  | "int", [ VFloat f ] -> VInt (int_of_float f)
-  | "sqrt", [ VFloat f ] -> VFloat (sqrt f)
-  | "sin", [ VFloat f ] -> VFloat (sin f)
-  | "cos", [ VFloat f ] -> VFloat (cos f)
-  | "fabs", [ VFloat f ] -> VFloat (abs_float f)
-  | "pow", [ VFloat a; VFloat b ] -> VFloat (a ** b)
-  | "log", [ VFloat f ] -> VFloat (log f)
-  | "exp", [ VFloat f ] -> VFloat (exp f)
-  | _ ->
-      error loc "builtin '%s' applied to (%a)" name
-        Fmt.(list ~sep:comma Value.pp)
-        args
-
-and call_function st loc name (args : Value.t list) : Value.t =
-  let f =
-    match Hashtbl.find_opt st.funcs name with
-    | Some f -> f
-    | None -> error loc "unknown function '%s'" name
-  in
-  charge st Cost.call_overhead;
-  in_structural st ~kind:(Sdpst.Node.Scope (Sdpst.Node.Scall name)) ~sid:(-1)
-    ~body_bid:f.body.bid (fun _node ->
-      let saved_locals = st.locals in
-      st.locals <- [ Hashtbl.create 8 ];
-      List.iter2 (fun (x, _ty) v -> declare_local st x v) f.params args;
-      push_frame st;
-      let restore () = st.locals <- saved_locals in
-      Fun.protect ~finally:restore (fun () ->
-          match exec_stmts st f.body.stmts with
-          | () -> Value.VUnit
-          | exception Return_v v -> v))
-
-(* ------------------------------------------------------------------ *)
-(* Statements                                                          *)
-(* ------------------------------------------------------------------ *)
-
-and exec_stmts st (stmts : Ast.stmt list) : unit =
-  List.iteri
-    (fun i s ->
-      st.idx <- i;
-      exec_stmt st s)
-    stmts
-
-and exec_body st (body : Ast.stmt) : unit =
-  (* Body of an async/finish: the AST is normalized so this is a block;
-     its statements run directly under the async/finish node. *)
-  match body.s with
-  | Ast.Block b -> in_frame st (fun () -> exec_stmts st b.stmts)
-  | _ ->
-      error body.sloc
-        "program not normalized (async/finish body); compile with \
-         Front.compile"
-
-and exec_stmt st (stmt : Ast.stmt) : unit =
-  (* Structural statements are not charged to the current step: the charge
-     would extend the step's statement range over the async/finish/block
-     statement itself and spuriously forbid tight finish insertions. *)
-  (match stmt.s with
-  | Async _ | Finish _ | Isolated _ | Block _ -> ()
-  | _ -> charge st Cost.stmt);
-  match stmt.s with
-  | Decl (_m, x, _ty, init) ->
-      let v = eval st init in
-      declare_local st x v
-  | Assign (x, [], rhs) -> (
-      let v = eval st rhs in
-      match lookup_local st x with
-      | Some r -> r := v
-      | None -> (
-          match Hashtbl.find_opt st.globals x with
-          | Some g ->
-              access st g.gaddr Monitor.Write;
-              g.gval := v
-          | None -> error stmt.sloc "unbound variable '%s'" x))
-  | Assign (x, path, rhs) ->
-      let base =
-        match lookup_local st x with
-        | Some r -> !r
-        | None -> (
-            match Hashtbl.find_opt st.globals x with
-            | Some g ->
-                access st g.gaddr Monitor.Read;
-                !(g.gval)
-            | None -> error stmt.sloc "unbound variable '%s'" x)
-      in
-      let rec walk v = function
-        | [] -> assert false
-        | [ last ] ->
-            let arr = as_arr stmt.sloc v in
-            let i = as_int last.Ast.eloc (eval st last) in
-            if i < 0 || i >= Array.length arr.cells then
-              error stmt.sloc "index %d out of bounds [0..%d)" i
-                (Array.length arr.cells);
-            let rhs_v = eval st rhs in
-            access st (cell_addr st arr.aid i) Monitor.Write;
-            arr.cells.(i) <- rhs_v
-        | idx :: rest ->
-            let arr = as_arr stmt.sloc v in
-            let i = as_int idx.Ast.eloc (eval st idx) in
-            if i < 0 || i >= Array.length arr.cells then
-              error stmt.sloc "index %d out of bounds [0..%d)" i
-                (Array.length arr.cells);
-            access st (cell_addr st arr.aid i) Monitor.Read;
-            walk arr.cells.(i) rest
-      in
-      walk base path
-  | If (c, a, b) ->
-      if as_bool c.eloc (eval st c) then exec_scope_body st a
-      else Option.iter (exec_scope_body st) b
-  | While (c, body) ->
-      while as_bool c.eloc (eval st c) do
-        exec_scope_body st body
-      done
-  | For (iv, lo, hi, by, body) ->
-      let lo = as_int lo.eloc (eval st lo) in
-      let hi = as_int hi.eloc (eval st hi) in
-      let step =
-        match by with
-        | None -> 1
-        | Some e -> (
-            match as_int e.eloc (eval st e) with
-            | 0 -> error stmt.sloc "for step must be non-zero"
-            | s -> s)
-      in
-      let i = ref lo in
-      let continue () = if step > 0 then !i <= hi else !i >= hi in
-      while continue () do
-        exec_for_iteration st iv !i body;
-        i := !i + step
-      done
-  | Return None -> raise (Return_v Value.VUnit)
-  | Return (Some e) ->
-      let v = eval st e in
-      raise (Return_v v)
-  | Async body -> (
-      match body.s with
-      | Ast.Block b ->
-          in_structural st ~kind:Sdpst.Node.Async ~sid:stmt.sid ~body_bid:b.bid
-            (fun node ->
-              st.monitor.Monitor.on_task_begin node;
-              Fun.protect
-                ~finally:(fun () -> st.monitor.Monitor.on_task_end node)
-                (fun () -> exec_body st body))
-      | _ ->
-          error stmt.sloc
-            "program not normalized (async); compile with Front.compile")
-  | Finish body -> (
-      match body.s with
-      | Ast.Block b ->
-          in_structural st ~kind:Sdpst.Node.Finish ~sid:stmt.sid ~body_bid:b.bid
-            (fun node ->
-              st.monitor.Monitor.on_finish_begin node;
-              Fun.protect
-                ~finally:(fun () -> st.monitor.Monitor.on_finish_end node)
-                (fun () -> exec_body st body))
-      | _ ->
-          error stmt.sloc
-            "program not normalized (finish); compile with Front.compile")
-  | Isolated body -> (
-      (* Sequential execution is a legal schedule of the mutual
-         exclusion, so the depth-first interpreter runs the body as a
-         plain scope; races between isolated sections still surface in
-         the S-DPST and are discharged statically (Repair.Isolate). *)
-      match body.s with
-      | Ast.Block b ->
-          in_structural st ~kind:(Sdpst.Node.Scope Sdpst.Node.Sblock)
-            ~sid:stmt.sid ~body_bid:b.bid (fun _node -> exec_body st body)
-      | _ ->
-          error stmt.sloc
-            "program not normalized (isolated); compile with Front.compile")
-  | Block b ->
-      in_structural st ~kind:(Sdpst.Node.Scope Sdpst.Node.Sblock) ~sid:stmt.sid
-        ~body_bid:b.bid (fun _node ->
-          in_frame st (fun () -> exec_stmts st b.stmts))
-  | Expr e -> ignore (eval st e)
-
-and exec_scope_body st (body : Ast.stmt) : unit =
-  (* Branch/loop bodies are blocks after normalization; executing the block
-     statement creates the scope node. *)
-  match body.s with
-  | Ast.Block _ -> exec_stmt st body
-  | _ ->
-      error body.sloc
-        "program not normalized (branch/loop body); compile with \
-         Front.compile"
-
-and exec_for_iteration st iv i body =
-  match body.s with
-  | Ast.Block b ->
-      (* No per-iteration overhead charge: it would open a step inside the
-         iteration scope even when the body is a lone async, and that step
-         would block loop-wide finish placements.  For-loops are bounded,
-         so fuel accounting inside the body suffices. *)
-      in_structural st ~kind:(Sdpst.Node.Scope Sdpst.Node.Sblock) ~sid:body.sid
-        ~body_bid:b.bid (fun _node ->
-          in_frame st (fun () ->
-              declare_local st iv (Value.VInt i);
-              exec_stmts st b.stmts))
-  | _ ->
-      error body.sloc
-        "program not normalized (for body); compile with Front.compile"
+module E = Eval.Make (Dfs)
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program execution                                             *)
@@ -495,46 +149,25 @@ and exec_for_iteration st iv i body =
 
 let default_fuel = 200_000_000
 
-(** Execute [prog] depth-first from [main].
-
-    @param monitor receives structural and memory-access events
-    @param fuel abort with {!Out_of_fuel} after this many cost units
-      (guards against non-terminating inputs such as random or student
-      programs)
-    @raise Runtime_error on dynamic errors (bounds, division by zero, ...)
-    @raise Out_of_fuel when the fuel budget is exhausted *)
 let run ?(monitor = Monitor.nop) ?(fuel = default_fuel) (prog : Ast.program) :
     result =
-  if not (Normalize.is_normalized prog) then
-    error Loc.dummy "program must be normalized (use Front.compile)";
-  let main =
-    match Ast.find_func prog "main" with
-    | Some f -> f
-    | None -> error Loc.dummy "program has no 'main' function"
-  in
+  let main = Eval.main_of prog in
   let tree = Sdpst.Node.create_tree ~main_bid:main.body.bid in
   let intern = Addr.Intern.create () in
-  let st =
+  let d =
     {
-      funcs = Hashtbl.create 16;
-      globals = Hashtbl.create 16;
-      intern;
-      locals = [ Hashtbl.create 8 ];
       tree;
       parent = tree.root;
       step = None;
-      bid = main.body.bid;
-      idx = 0;
       monitor;
+      intern;
       buf = Buffer.create 256;
       fuel;
       work = 0;
       aid = 0;
-      quiet = false;
-      max_live_depth = 0;
     }
   in
-  List.iter (fun (f : Ast.func) -> Hashtbl.replace st.funcs f.fname f) prog.funcs;
+  let st = Eval.start d prog main in
   (* Globals are interned up front (ids 0.. in declaration order); arrays
      claim id blocks as they are allocated, starting with any allocated by
      the global initializers themselves. *)
@@ -547,31 +180,24 @@ let run ?(monitor = Monitor.nop) ?(fuel = default_fuel) (prog : Ast.program) :
   (* Global initializers run before main, outside any step: they are
      sequenced before every task, so they can never participate in a race
      and are kept out of the S-DPST (see DESIGN.md). *)
-  st.quiet <- true;
-  List.iter
-    (fun ((g : Ast.global), gaddr) ->
-      let v = eval st g.ginit in
-      Hashtbl.replace st.globals g.gname { gval = ref v; gaddr })
-    gaddrs;
-  st.quiet <- false;
+  E.init_globals st gaddrs;
   (* The monitored depth-first execution is also what grows the S-DPST,
      so one span covers both; nested under "detect" when the driver runs
      this behind a detector monitor. *)
   Obs.Trace.with_span "sdpst-build" (fun () ->
       monitor.Monitor.on_task_begin tree.root;
       monitor.Monitor.on_finish_begin tree.root;
-      (try in_frame st (fun () -> exec_stmts st main.body.stmts)
-       with Return_v _ -> ());
-      close_step st;
+      E.run_main st main;
+      d.step <- None;
       monitor.Monitor.on_finish_end tree.root;
       monitor.Monitor.on_task_end tree.root);
-  let globals =
-    Hashtbl.fold (fun name g acc -> (name, !(g.gval)) :: acc) st.globals []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  { output = Buffer.contents st.buf; tree; work = st.work; globals; intern }
+  {
+    output = Buffer.contents d.buf;
+    tree;
+    work = d.work;
+    globals = Eval.globals_of st;
+    intern;
+  }
 
-(** Run the serial elision of [prog] (all parallel constructs erased) and
-    return its result — the reference semantics for repair correctness. *)
 let run_elision ?fuel (prog : Ast.program) : result =
   run ?fuel (Normalize.normalize (Elision.elide prog))

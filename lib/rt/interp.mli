@@ -1,6 +1,7 @@
 (** Sequential depth-first interpreter for Mini-HJ (the paper's canonical
-    execution): async bodies run to completion at their spawn point while
-    the S-DPST records the parallel structure.  Abstract {!Cost} units are
+    execution): the depth-first executor of {!Eval}.  Async bodies run to
+    completion at their spawn point while the S-DPST records the parallel
+    structure.  Abstract {!Cost} units are
     charged to the current step; structural transitions and monitored
     memory accesses are reported to an optional {!Monitor}. *)
 
@@ -27,8 +28,9 @@ val default_fuel : int
 
     @param monitor receives structural and memory-access events
     @param fuel abort with {!Out_of_fuel} after this many cost units
-    @raise Runtime_error on dynamic errors (bounds, division by zero, ...)
-      and on malformed programs (not normalized — use {!Mhj.Front.compile}
+    @raise Runtime_error on dynamic errors (bounds, division by zero,
+      calls nested deeper than {!Eval.max_call_depth}, ...) and on
+      malformed programs (not normalized — use {!Mhj.Front.compile}
       — or lacking a [main]); always carries a source location when one is
       known *)
 val run : ?monitor:Monitor.t -> ?fuel:int -> Mhj.Ast.program -> result

@@ -135,6 +135,22 @@ let test_dp_timeout_degrades () =
       Alcotest.(check bool) "degraded" true (r.degradations <> []);
       check_race_free "dp timeout" r.program
 
+(* Per-edge covers demand one placement per race edge, so a context with
+   many edges demands the same few placements thousands of times (this
+   generated program: ~24k demands, 14 distinct).  Static placement
+   merging must stay cheap in the duplicates; it once spent minutes
+   there, out of reach of the watchdog. *)
+let test_dp_timeout_duplicate_demands () =
+  let prog = compile (Benchsuite.Progen.generate ~seed:284510 ()) in
+  match
+    Rt.Watchdog.with_timeout ~ms:(Some 10_000) (fun () ->
+        checked_under [ FI.Dp_timeout ] prog)
+  with
+  | Error d -> Alcotest.failf "dp timeout on duplicate demands: %a" Diag.pp d
+  | Ok r ->
+      Alcotest.(check bool) "degraded" true (r.degradations <> []);
+      if r.converged then check_race_free "duplicate demands" r.program
+
 let test_plan_restored () =
   (try
      FI.with_faults [ FI.Detector_abort ] (fun () ->
@@ -328,6 +344,8 @@ let () =
             test_slow_stage_stalls_not_fails;
           Alcotest.test_case "slow stage trips watchdog" `Quick
             test_slow_stage_trips_watchdog;
+          Alcotest.test_case "dp timeout duplicate demands" `Quick
+            test_dp_timeout_duplicate_demands;
         ] );
       ( "property",
         [

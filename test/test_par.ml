@@ -177,6 +177,119 @@ let test_out_of_fuel () =
       ignore (Par.Engine.run ~fuel:50 ~mode:(Par.Engine.Fuzz { seed = 1 }) prog))
 
 (* ------------------------------------------------------------------ *)
+(* Executor parity                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Both executors drive one evaluator, so on every row they must agree
+   exactly: the same exception (constructor, message and location) or
+   the same output and final global state.  [expect] pins the
+   depth-first outcome, so a row cannot pass by every executor going
+   wrong the same way. *)
+type expect =
+  | Raises of string  (** substring of the rendering *)
+  | Prints of string
+
+let parity_rows =
+  [
+    ("div by zero", "def main() { print(1 / 0); }", Raises "division by zero");
+    ("mod by zero", "def main() { print(1 % 0); }", Raises "modulo by zero");
+    ( "index oob",
+      "def main() { val a: int[] = new int[2]; print(a[2]); }",
+      Raises "index 2 out of bounds" );
+    ( "negative index",
+      "def main() { val a: int[] = new int[2]; print(a[0 - 1]); }",
+      Raises "index -1 out of bounds" );
+    ( "negative dimension",
+      "def main() { val a: int[] = new int[0 - 3]; print(0); }",
+      Raises "negative array dimension" );
+    ( "zero for step",
+      "def main() { for (i = 0 to 1 by 0) { print(i); } }",
+      Raises "for step must be non-zero" );
+    ( "cas out of bounds",
+      "def main() { val a: int[] = new int[1]; print(cas(a, 5, 0, 1)); }",
+      Raises "cas: index 5 out of bounds" );
+    ( "cas hit",
+      "def main() { val a: int[] = new int[1]; print(cas(a, 0, 0, 5)); \
+       print(a[0]); }",
+      Prints "true\n5\n" );
+    ( "cas miss",
+      "def main() { val a: int[] = new int[1]; print(cas(a, 0, 3, 5)); \
+       print(a[0]); }",
+      Prints "false\n0\n" );
+    ( "isolated accumulator",
+      "var s: int = 0;\n\
+       def main() {\n\
+      \  finish { forasync (i = 0 to 999) { isolated { s = s + 1; } } }\n\
+      \  print(s);\n\
+       }",
+      Prints "1000\n" );
+    ( "work overflow",
+      "def main() { for (i = 0 to 3) { work(4611686018427387903); } }",
+      Raises "Out_of_fuel" );
+    ( "allocation overflow",
+      "def main() { val a: int[] = new int[4611686018427387903]; print(0); }",
+      Raises "Out_of_fuel" );
+    ( "call depth bound",
+      "def f(n: int): int { if (n == 0) { return 0; } return f(n - 1) + 1; }\n\
+       def main() { print(f(1000000)); }",
+      Raises "call depth" );
+  ]
+
+let render_outcome run prog =
+  match run prog with
+  | output, globals ->
+      Fmt.str "output %S, globals %S" output (Rt.Value.digest_globals globals)
+  | exception Rt.Interp.Runtime_error (m, loc) ->
+      Fmt.str "Runtime_error %S at %a" m Mhj.Loc.pp loc
+  | exception Rt.Interp.Out_of_fuel -> "Out_of_fuel"
+  | exception e -> Printexc.to_string e
+
+let engine mode prog =
+  let r = Par.Engine.run ~mode prog in
+  (r.Par.Engine.output, r.globals)
+
+let parity_executors =
+  List.init 3 (fun i ->
+      ( Fmt.str "fuzz seed %d" (i + 1),
+        engine (Par.Engine.Fuzz { seed = i + 1 }) ))
+  @ [ ("2 domains", engine (Par.Engine.Domains { n = 2; seed = 1 })) ]
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_executor_parity () =
+  List.iter
+    (fun (name, src, expect) ->
+      let prog = compile src in
+      let reference =
+        render_outcome
+          (fun p ->
+            let r = Rt.Interp.run p in
+            (r.output, r.globals))
+          prog
+      in
+      (match expect with
+      | Raises sub ->
+          if not (contains ~sub reference) then
+            Alcotest.failf "%s: depth-first run should raise %S, got %s" name
+              sub reference
+      | Prints out ->
+          if not (contains ~sub:(Fmt.str "output %S" out) reference) then
+            Alcotest.failf "%s: depth-first run should print %S, got %s" name
+              out reference);
+      List.iter
+        (fun (ename, run) ->
+          Alcotest.(check string)
+            (Fmt.str "%s: %s" name ename)
+            reference (render_outcome run prog))
+        parity_executors)
+    parity_rows
+
+(* ------------------------------------------------------------------ *)
 (* Differential schedule fuzzing over generated programs               *)
 (* ------------------------------------------------------------------ *)
 
@@ -368,6 +481,11 @@ let () =
           Alcotest.test_case "fuzz replay is deterministic" `Quick
             test_fuzz_replay_deterministic;
           Alcotest.test_case "out of fuel" `Quick test_out_of_fuel;
+        ] );
+      ( "parity",
+        [
+          Alcotest.test_case "executors agree on every row" `Quick
+            test_executor_parity;
         ] );
       ( "differential",
         [
