@@ -44,28 +44,6 @@ let or_die f =
 
 let compile path = Mhj.Front.compile (read_file path)
 
-(* --set NAME=INT test-input overrides *)
-let apply_sets prog sets =
-  List.fold_left
-    (fun p spec ->
-      match String.index_opt spec '=' with
-      | Some i -> (
-          let name = String.sub spec 0 i in
-          let v = String.sub spec (i + 1) (String.length spec - i - 1) in
-          match int_of_string_opt v with
-          | Some v -> (
-              try Mhj.Transform.set_global_int p name v
-              with Invalid_argument m ->
-                Fmt.epr "error: --set %s: %s@." spec m;
-                exit Ec.input_error)
-          | None ->
-              Fmt.epr "error: --set %s: %S is not an integer@." spec v;
-              exit Ec.input_error)
-      | None ->
-          Fmt.epr "error: --set expects NAME=INT, got %S@." spec;
-          exit Ec.input_error)
-    prog sets
-
 (* ---------------------------- arguments ---------------------------- *)
 
 let file_arg =
@@ -74,65 +52,192 @@ let file_arg =
     & pos 0 (some non_dir_file) None
     & info [] ~docv:"FILE" ~doc:"Mini-HJ source file.")
 
-let mode_arg =
-  let mode_conv =
-    Arg.enum [ ("mrw", Espbags.Detector.Mrw); ("srw", Espbags.Detector.Srw) ]
+(* --set NAME=INT test-input overrides *)
+let set_arg =
+  let parse spec =
+    match String.index_opt spec '=' with
+    | Some i -> (
+        let v = String.sub spec (i + 1) (String.length spec - i - 1) in
+        match int_of_string_opt v with
+        | Some n -> Ok (String.sub spec 0 i, n)
+        | None -> Error (`Msg (Fmt.str "%S is not an integer" v)))
+    | None -> Error (`Msg (Fmt.str "expected NAME=INT, got %S" spec))
   in
+  let print ppf (g, v) = Fmt.pf ppf "%s=%d" g v in
   Arg.(
-    value & opt mode_conv Espbags.Detector.Mrw
-    & info [ "mode" ] ~docv:"MODE"
+    value
+    & opt_all (conv (parse, print)) []
+    & info [ "set" ] ~docv:"NAME=INT"
         ~doc:
-          "ESP-bags detector flavour: $(b,mrw) (all readers/writers, the \
-           paper's default) or $(b,srw) (single reader-writer).")
+          "Override an int global's initializer — vary the test input \
+           without editing the program.  Repeatable.")
 
-let backend_arg =
-  let backend_conv =
-    Arg.enum [ ("espbags", `Espbags); ("vclock", `Vclock); ("auto", `Auto) ]
+(* The one set of repair-config flags, shared by detect, repair, explain
+   and call; each maps to one Repair.Config field (README lists them). *)
+let config_term =
+  let d = Repair.Config.default in
+  let enum table default names docv doc =
+    Arg.(value & opt (enum table) default & info names ~docv ~doc)
   in
-  Arg.(
-    value & opt backend_conv `Espbags
-    & info [ "backend" ] ~docv:"B"
-        ~doc:
-          "Detection backend: $(b,espbags) (the paper's algorithm, the \
-           default), $(b,vclock) (vector clocks, report-identical to \
-           ESP-bags), or $(b,auto) (pick per workload from its task \
-           shape; the choice is printed and recorded in the metrics as \
-           $(b,detector.backend)).")
-
-(* [`Auto] resolves here so the pick and its reason are visible on
-   stdout; the driver resolves identically (same Vclock.Select.choose)
-   for the metrics. *)
-let resolve_backend_verbose prog = function
-  | (`Espbags | `Vclock) as b -> b
-  | `Auto ->
-      let pick, reason = Vclock.Select.choose prog in
-      Fmt.pr "auto backend: %a (%s)@." Vclock.Select.pp_choice pick reason;
-      (pick :> [ `Espbags | `Vclock ])
-
-let strategy_arg =
-  let strategy_conv =
-    Arg.enum
-      [
-        ("finish", `Finish);
-        ("isolated", `Isolated);
-        ("elide", `Elide);
-        ("chunk", `Chunk);
-        ("tournament", `Tournament);
-      ]
+  let mode =
+    enum Repair.Config.modes d.mode [ "mode" ] "MODE"
+      "ESP-bags detector flavour: $(b,mrw) (all readers/writers, the \
+       paper's default) or $(b,srw) (single reader-writer)."
   in
-  Arg.(
-    value & opt strategy_conv `Finish
-    & info [ "strategy" ] ~docv:"S"
-        ~doc:
-          "Repair strategy: $(b,finish) (the paper's interval-DP finish \
-           insertion, the default), $(b,isolated) (wrap the racing \
-           statements in mutually-exclusive isolated sections), \
-           $(b,elide) (demote the offending asyncs to inline sequential \
-           execution), $(b,chunk) (split a racy loop into sub-loops with \
-           a finish at every chunk seam), or $(b,tournament) (run all \
-           four, verify each race-free, and keep the minimum-CPL winner; \
-           ties break toward $(b,finish)).  Per-strategy outcomes land \
-           in the metrics as $(b,strategy.*).")
+  let backend =
+    enum Repair.Config.backends d.backend [ "backend" ] "B"
+      "Detection backend: $(b,espbags) (the paper's algorithm, the \
+       default), $(b,vclock) (vector clocks, report-identical to \
+       ESP-bags), or $(b,auto) (pick per workload from its task shape; the \
+       choice is printed and recorded in the metrics as \
+       $(b,detector.backend))."
+  in
+  let placement =
+    enum Repair.Config.placements d.placement [ "placement" ] "P"
+      "Finish-placement strategy: $(b,batch) (all NS-LCA groups per \
+       detection run) or $(b,incremental) (the paper's §6.1 live-S-DPST \
+       loop)."
+  in
+  let strategy =
+    enum Repair.Config.strategies d.strategy [ "strategy" ] "S"
+      "Repair strategy: $(b,finish) (the paper's interval-DP finish \
+       insertion, the default), $(b,isolated) (wrap the racing statements \
+       in mutually-exclusive isolated sections), $(b,elide) (demote the \
+       offending asyncs to inline sequential execution), $(b,chunk) (split \
+       a racy loop into sub-loops with a finish at every chunk seam), or \
+       $(b,tournament) (run all four, verify each race-free, and keep the \
+       minimum-CPL winner; ties break toward $(b,finish)).  Per-strategy \
+       outcomes land in the metrics as $(b,strategy.*).  With \
+       $(b,detect), previews the strategy without rewriting."
+  in
+  let int_opt names docv doc =
+    Arg.(value & opt (some int) None & info names ~docv ~doc)
+  in
+  let fuel =
+    int_opt [ "budget-fuel" ] "N"
+      "Interpreter budget: abort any execution after $(docv) cost units \
+       (exit code 4)."
+  in
+  let sdpst =
+    int_opt [ "budget-sdpst" ] "N"
+      "S-DPST budget: when a detection run's tree exceeds $(docv) nodes, \
+       collapse race-free regions before placement.  The repair still \
+       converges; the degradation is recorded in the report and by exit \
+       code 4."
+  in
+  let dp =
+    int_opt [ "budget-dp" ] "N"
+      "Placement-DP budget in work units (~cube of the dependence graph \
+       size).  Affordable groups get the exact DP; exhausted groups \
+       degrade to per-edge interval covers (exit code 4)."
+  in
+  let flag names doc = Arg.(value & flag & info names ~doc) in
+  let static_prune =
+    flag [ "static-prune" ]
+      "Run the static MHP pre-pass first and skip instrumenting accesses \
+       it proves sequential.  With $(b,--mode mrw) the reported race set \
+       is unchanged; detection only gets cheaper."
+  in
+  let static_verify =
+    flag [ "static-verify" ]
+      "After convergence, run the static race checker on the repaired \
+       program.  If it discharges every MHP pair, the repair is race-free \
+       for $(i,all) inputs; otherwise the unproven pairs are listed and \
+       the command exits 4."
+  in
+  let validate_par =
+    Arg.(
+      value
+      & opt ~vopt:(Some 10) (some int) None
+      & info [ "validate-par" ] ~docv:"K"
+          ~doc:
+            "After convergence, re-run the repaired program under $(docv) \
+             deterministic fuzzed parallel schedules (default 10) and \
+             require each to reproduce the sequential semantics.  A \
+             divergence exits 2; schedules skipped under \
+             $(b,--budget-validate) exit 4.")
+  in
+  let validate_seed =
+    Arg.(
+      value & opt int 1
+      & info [ "validate-seed" ] ~docv:"S"
+          ~doc:
+            "Base schedule seed for $(b,--validate-par); schedule $(i,k) \
+             uses seed S+$(i,k), replayable with $(b,run --par=1 --seed).")
+  in
+  let budget_validate =
+    int_opt [ "budget-validate" ] "MS"
+      "Wall-clock budget for $(b,--validate-par) in milliseconds; \
+       remaining schedules are skipped once it is exceeded (exit code 4)."
+  in
+  (* --shadow-chunk / --spill: detector memory bounds (DESIGN.md §15).
+     Neither changes the reported races. *)
+  let shadow_chunk =
+    let pos_int =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n > 0 -> Ok n
+        | Some _ -> Error (`Msg "chunk size must be positive")
+        | None -> Error (`Msg (Fmt.str "%S is not an integer" s))
+      in
+      Arg.conv (parse, Fmt.int)
+    in
+    Arg.(
+      value
+      & opt (some pos_int) None
+      & info [ "shadow-chunk" ] ~docv:"N"
+          ~doc:
+            "Grow the detector's shadow tables in slab chunks of $(docv) \
+             slots (default 8192; rounded up to a power of two).  Reported \
+             races are unchanged; smaller chunks track sparse address \
+             spaces more tightly.")
+  in
+  let spill =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "spill" ] ~docv:"FILE"
+          ~doc:
+            "Bound in-memory race records by draining overflow to $(docv) \
+             (a loadable race-trace file, removed again if nothing \
+             spills).  Reported races are unchanged.")
+  in
+  let make mode backend placement strategy fuel sdpst_nodes dp_work
+      static_prune static_verify validate_par seed budget_ms shadow_chunk spill
+      sets =
+    {
+      Repair.Config.mode;
+      backend;
+      placement;
+      strategy;
+      budgets = { Repair.Guard.fuel; sdpst_nodes; dp_work };
+      static_prune;
+      static_verify;
+      validate_par =
+        Option.map
+          (fun schedules -> { Par.Validate.schedules; seed; budget_ms })
+          validate_par;
+      shadow_chunk;
+      spill;
+      sets;
+    }
+  in
+  Term.(
+    const make $ mode $ backend $ placement $ strategy $ fuel $ sdpst $ dp
+    $ static_prune $ static_verify $ validate_par $ validate_seed
+    $ budget_validate $ shadow_chunk $ spill $ set_arg)
+
+(* Compile FILE and apply the config's --set overrides. *)
+let compile_with (config : Repair.Config.t) path =
+  Repair.Config.apply_sets config.sets (compile path)
+
+(* Resolve an [`Auto] backend here so the pick and its reason are visible
+   on stdout; the returned config carries the pick. *)
+let resolve_backend_verbose (config : Repair.Config.t) prog =
+  let pick, reason = Repair.Detect.backend config prog in
+  if config.backend = `Auto then
+    Fmt.pr "auto backend: %a (%s)@." Vclock.Select.pp_choice pick reason;
+  { config with backend = (pick :> Repair.Config.backend) }
 
 (* Per-candidate tournament summary shared by detect (preview) and
    repair. *)
@@ -150,55 +255,13 @@ let pp_candidates ppf (outcome : Repair.Strategy.outcome) =
             (if c.note = "" then "no race-free candidate" else c.note))
     outcome.Repair.Strategy.candidates
 
-let set_arg =
-  Arg.(
-    value & opt_all string []
-    & info [ "set" ] ~docv:"NAME=INT"
-        ~doc:
-          "Override an int global's initializer — vary the test input \
-           without editing the program.  Repeatable.")
+let strategy_name = Repair.Config.name Repair.Config.strategies
 
 let output_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Write the result to $(docv).")
-
-let budgets_term =
-  let fuel =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget-fuel" ] ~docv:"N"
-          ~doc:
-            "Interpreter budget: abort any execution after $(docv) cost \
-             units (exit code 4).")
-  in
-  let sdpst =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget-sdpst" ] ~docv:"N"
-          ~doc:
-            "S-DPST budget: when a detection run's tree exceeds $(docv) \
-             nodes, collapse race-free regions before placement.  The \
-             repair still converges; the degradation is recorded in the \
-             report and by exit code 4.")
-  in
-  let dp =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget-dp" ] ~docv:"N"
-          ~doc:
-            "Placement-DP budget in work units (~cube of the dependence \
-             graph size).  Affordable groups get the exact DP; exhausted \
-             groups degrade to per-edge interval covers (exit code 4).")
-  in
-  let mk fuel sdpst_nodes dp_work =
-    { Repair.Guard.fuel; sdpst_nodes; dp_work }
-  in
-  Term.(const mk $ fuel $ sdpst $ dp)
 
 let timeout_arg =
   Arg.(
@@ -225,7 +288,7 @@ let parse_cmd =
 let run_cmd =
   let run file procs sets par seed pace_ns =
     or_die (fun () ->
-        let prog = apply_sets (compile file) sets in
+        let prog = Repair.Config.apply_sets sets (compile file) in
         match par with
         | None ->
             let res = Rt.Interp.run prog in
@@ -315,47 +378,6 @@ let run_cmd =
           (default), or for real on the parallel backend ($(b,--par)).")
     Term.(const run $ file_arg $ procs $ set_arg $ par $ seed $ pace)
 
-let static_prune_arg =
-  Arg.(
-    value & flag
-    & info [ "static-prune" ]
-        ~doc:
-          "Run the static MHP pre-pass first and skip instrumenting \
-           accesses it proves sequential.  With $(b,--mode mrw) the \
-           reported race set is unchanged; detection only gets cheaper.")
-
-(* --shadow-chunk / --spill: detector memory bounds (DESIGN.md §15);
-   shared by detect and repair.  Neither changes the reported races. *)
-let shadow_chunk_arg =
-  let pos_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n > 0 -> Ok n
-      | Some _ -> Error (`Msg "chunk size must be positive")
-      | None -> Error (`Msg (Fmt.str "%S is not an integer" s))
-    in
-    Arg.conv (parse, Fmt.int)
-  in
-  Arg.(
-    value
-    & opt (some pos_int) None
-    & info [ "shadow-chunk" ] ~docv:"N"
-        ~doc:
-          "Grow the detector's shadow tables in slab chunks of $(docv) \
-           slots (default 8192; rounded up to a power of two).  Reported \
-           races are unchanged; smaller chunks track sparse address \
-           spaces more tightly.")
-
-let spill_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "spill" ] ~docv:"FILE"
-        ~doc:
-          "Bound in-memory race records by draining overflow to $(docv) \
-           (a loadable race-trace file, removed again if nothing \
-           spills).  Reported races are unchanged.")
-
 (* Fail fast on an unwritable spill path (the detector only opens it on
    first overflow, which could be minutes into a run). *)
 let check_spill_writable spill =
@@ -377,80 +399,51 @@ let cleanup_spill spill ~n_spilled =
   | _ -> ()
 
 let detect_cmd =
-  let run file mode backend strategy sets trace dump_tree dump_sdpst
-      static_prune shadow_chunk spill timeout_ms =
+  let run file config trace dump_tree dump_sdpst timeout_ms =
     or_die (fun () ->
       Rt.Watchdog.with_timeout ~ms:timeout_ms @@ fun () ->
-        let prog = apply_sets (compile file) sets in
-        let backend = resolve_backend_verbose prog backend in
-        check_spill_writable spill;
-        let layout = Option.map (fun n -> Tdrutil.Islab.Chunked n) shadow_chunk in
-        let spill_cfg = Option.map Espbags.Spill.config spill in
-        let keep =
-          if static_prune then begin
-            let pr = Static.Prune.make prog in
+        let prog = compile_with config file in
+        let config = resolve_backend_verbose config prog in
+        check_spill_writable config.spill;
+        let d = Repair.Detect.run config prog in
+        Option.iter
+          (fun pr ->
             Fmt.pr
               "static prune: %d of %d statement(s) stay monitored (%d \
                unproven MHP conflict(s))@."
               (Static.Prune.n_kept pr) (Static.Prune.n_stmts pr)
-              (Static.Prune.n_conflicts pr);
-            Some (Static.Prune.keep_fn pr)
-          end
-          else None
-        in
-        let label, races, n_accesses, n_locations, n_skipped, n_spilled, res =
-          match backend with
-          | `Espbags ->
-              let det, res =
-                Espbags.Detector.detect ?keep ?layout ?spill:spill_cfg mode
-                  prog
-              in
-              ( "ESP-bags",
-                Espbags.Detector.races det,
-                det.Espbags.Detector.n_accesses,
-                det.Espbags.Detector.n_locations,
-                det.Espbags.Detector.n_skipped,
-                Espbags.Detector.n_spilled det,
-                res )
-          | `Vclock ->
-              let det, res =
-                Vclock.Seq.detect ?keep ?layout ?spill:spill_cfg mode prog
-              in
-              ( "vector-clock",
-                Vclock.Seq.races det,
-                det.Vclock.Seq.n_accesses,
-                det.Vclock.Seq.n_locations,
-                det.Vclock.Seq.n_skipped,
-                Vclock.Seq.n_spilled det,
-                res )
-        in
-        cleanup_spill spill ~n_spilled;
-        (* Races with both endpoints inside [isolated] sections are
-           discharged by mutual exclusion — the detectors run the body
-           as a plain scope and cannot see the serialization. *)
-        let races, discharged =
-          let surviving, discharged = Repair.Isolate.split prog races in
-          (surviving, List.length discharged)
-        in
-        if dump_sdpst then Fmt.pr "%s@." (Sdpst.Serial.to_string res.tree);
+              (Static.Prune.n_conflicts pr))
+          d.prune;
+        let count = Repair.Detect.count d in
+        let n_spilled = count "detector.spilled_races" in
+        cleanup_spill config.spill ~n_spilled;
+        let races = d.races and tree = d.exec.tree in
+        if dump_sdpst then Fmt.pr "%s@." (Sdpst.Serial.to_string tree);
         (match dump_tree with
         | Some path ->
-            write_file path (Sdpst.Serial.tree_to_string res.tree);
+            write_file path (Sdpst.Serial.tree_to_string tree);
             Fmt.pr "S-DPST written to %s@." path
         | None -> ());
         Fmt.pr "%a %s: %d race report(s), %d distinct step pair(s)@."
-          Espbags.Detector.pp_mode mode label (List.length races)
+          Espbags.Detector.pp_mode config.mode
+          (match d.backend with
+          | `Espbags -> "ESP-bags"
+          | `Vclock -> "vector-clock")
+          (List.length races)
           (List.length (Espbags.Race.dedupe_by_steps races));
         Fmt.pr
           "checked %d access(es) over %d location(s); S-DPST has %d node(s)@."
-          n_accesses n_locations res.Rt.Interp.tree.Sdpst.Node.n_nodes;
-        if n_skipped > 0 then
-          Fmt.pr "skipped %d access(es) proven sequential@." n_skipped;
-        if discharged > 0 then
+          (count "detector.accesses")
+          (count "detector.locations")
+          tree.Sdpst.Node.n_nodes;
+        if count "detector.skipped" > 0 then
+          Fmt.pr "skipped %d access(es) proven sequential@."
+            (count "detector.skipped");
+        if d.discharged <> [] then
           Fmt.pr
             "discharged %d race report(s) serialized by isolated section(s)@."
-            discharged;
-        (match spill with
+            (List.length d.discharged);
+        (match config.spill with
         | Some path when n_spilled > 0 ->
             Fmt.pr "spilled %d race record(s) to %s@." n_spilled path
         | _ -> ());
@@ -461,27 +454,22 @@ let detect_cmd =
           races;
         (* --strategy=S previews how each repair strategy would fare on
            the detected races, without rewriting anything. *)
-        (match strategy with
+        (match config.strategy with
         | `Finish -> ()
         | choice when races = [] ->
-            Fmt.pr "strategy %a: program already race-free@."
-              Repair.Strategy.pp_choice choice
+            Fmt.pr "strategy %s: program already race-free@."
+              (strategy_name choice)
         | choice -> (
-            match
-              Repair.Strategy.run ~mode
-                ~backend:(backend :> Repair.Driver.backend)
-                choice prog
-            with
+            match Repair.Strategy.run ~config choice prog with
             | outcome ->
-                Fmt.pr "strategy %a: %a would win@." Repair.Strategy.pp_choice
-                  choice Repair.Strategy.pp_kind
-                  outcome.Repair.Strategy.winner.kind;
+                Fmt.pr "strategy %s: %a would win@." (strategy_name choice)
+                  Repair.Strategy.pp_kind outcome.Repair.Strategy.winner.kind;
                 Fmt.pr "%a" pp_candidates outcome
             | exception Repair.Driver.Unrepairable m ->
-                Fmt.pr "strategy %a: %s@." Repair.Strategy.pp_choice choice m));
+                Fmt.pr "strategy %s: %s@." (strategy_name choice) m));
         match trace with
         | Some path ->
-            Espbags.Trace.save path ~mode races;
+            Espbags.Trace.save path ~mode:config.mode races;
             Fmt.pr "trace written to %s@." path
         | None -> ())
   in
@@ -509,9 +497,8 @@ let detect_cmd =
          "Execute a program under a race detector (ESP-bags or vector \
           clocks, see $(b,--backend)) and report its data races.")
     Term.(
-      const run $ file_arg $ mode_arg $ backend_arg $ strategy_arg $ set_arg
-      $ trace $ dump_tree $ dump $ static_prune_arg $ shadow_chunk_arg
-      $ spill_arg $ timeout_arg)
+      const run $ file_arg $ config_term $ trace $ dump_tree $ dump
+      $ timeout_arg)
 
 let analyze_cmd =
   let run file tree_path trace_path output quiet =
@@ -565,91 +552,55 @@ let analyze_cmd =
           trace (the paper's Appendix A analyzer; no re-execution).")
     Term.(const run $ file_arg $ tree_path $ trace_path $ output_arg $ quiet)
 
-let static_verify_arg =
-  Arg.(
-    value & flag
-    & info [ "static-verify" ]
-        ~doc:
-          "After convergence, run the static race checker on the repaired \
-           program.  If it discharges every MHP pair, the repair is \
-           race-free for $(i,all) inputs; otherwise the unproven pairs \
-           are listed and the command exits 4.")
-
 let repair_cmd =
-  let run file mode backend placement strategy sets budgets output
-      report_flag quiet static_prune static_verify validate_par validate_seed
-      budget_validate shadow_chunk spill trace_file metrics_file timeout_ms =
+  let run file config output report_flag quiet trace_file metrics_file
+      timeout_ms =
     (* Enable tracing before the compile so the parse/typecheck/normalize
        spans land in the file too. *)
     if trace_file <> None then Obs.Trace.enable ();
     or_die (fun () ->
       Rt.Watchdog.with_timeout ~ms:timeout_ms @@ fun () ->
-        check_spill_writable spill;
-        let prog = apply_sets (compile file) sets in
-        let backend = resolve_backend_verbose prog backend in
-        match strategy with
+        check_spill_writable config.Repair.Config.spill;
+        let prog = compile_with config file in
+        let config = resolve_backend_verbose config prog in
+        (* Write telemetry before anything below can [exit]. *)
+        let save_telemetry metrics =
+          Option.iter (fun path -> Obs.Trace.save path) trace_file;
+          Option.iter
+            (fun path ->
+              Obs.Json.save path
+                (Obs.Json.Obj
+                   (List.map (fun (k, v) -> (k, Obs.Json.Int v)) metrics)))
+            metrics_file
+        in
+        let emit program =
+          let src = Mhj.Pretty.program_to_string program in
+          match output with
+          | Some path ->
+              write_file path src;
+              Fmt.pr "repaired program written to %s@." path
+          | None -> if not quiet then print_string src
+        in
+        match config.strategy with
         | (`Isolated | `Elide | `Chunk | `Tournament) as choice ->
             (* Alternative repair strategies go through the tournament
-               layer; the winner is verified race-free by a fresh
-               detection run before it is printed. *)
-            let outcome =
-              Repair.Strategy.run ~mode
-                ~backend:(backend :> Repair.Driver.backend)
-                choice prog
-            in
-            Fmt.pr "strategy %a: %a wins@." Repair.Strategy.pp_choice choice
+               layer; the winner is verified race-free by its loop's final
+               detection before it is printed. *)
+            let outcome = Repair.Strategy.run ~config choice prog in
+            Fmt.pr "strategy %s: %a wins@." (strategy_name choice)
               Repair.Strategy.pp_kind outcome.Repair.Strategy.winner.kind;
             Fmt.pr "%a" pp_candidates outcome;
-            Option.iter
-              (fun path ->
-                Obs.Json.save path
-                  (Obs.Json.Obj
-                     (List.map
-                        (fun (k, v) -> (k, Obs.Json.Int v))
-                        outcome.Repair.Strategy.metrics)))
-              metrics_file;
-            Option.iter (fun path -> Obs.Trace.save path) trace_file;
-            let src =
-              Mhj.Pretty.program_to_string outcome.Repair.Strategy.program
-            in
-            (match output with
-            | Some path ->
-                write_file path src;
-                Fmt.pr "repaired program written to %s@." path
-            | None -> if not quiet then print_string src)
+            save_telemetry outcome.metrics;
+            emit outcome.program
         | `Finish ->
-        let validate_par =
-          Option.map
-            (fun schedules ->
-              {
-                Par.Validate.schedules;
-                seed = validate_seed;
-                budget_ms = budget_validate;
-              })
-            validate_par
-        in
-        let report =
-          Repair.Driver.repair ~mode
-            ~backend:(backend :> Repair.Driver.backend)
-            ~strategy:placement ~budgets ~static_prune ~static_verify
-            ?validate_par ?shadow_chunk ?spill prog
-        in
+        let report = Repair.Driver.repair ~config prog in
         let n_spilled =
           Option.value ~default:0
             (List.assoc_opt "detector.spilled_races"
                report.Repair.Driver.metrics)
         in
-        cleanup_spill spill ~n_spilled;
-        (* Write telemetry before anything below can [exit]. *)
-        Option.iter (fun path -> Obs.Trace.save path) trace_file;
-        Option.iter
-          (fun path ->
-            Obs.Json.save path
-              (Obs.Json.Obj
-                 (List.map
-                    (fun (k, v) -> (k, Obs.Json.Int v))
-                    report.Repair.Driver.metrics)))
-          metrics_file;
+        cleanup_spill config.spill ~n_spilled;
+        save_telemetry report.metrics;
         if report_flag then Fmt.pr "%a" Repair.Report.pp (prog, report)
         else begin
           Fmt.pr "%s after %d iteration(s); %d finish statement(s) inserted@."
@@ -679,12 +630,7 @@ let repair_cmd =
             (* the --report path prints this via Report.pp *)
             Fmt.pr "parallel validation: %a@." Par.Validate.pp v
         | _ -> ());
-        let src = Mhj.Pretty.program_to_string report.program in
-        (match output with
-        | Some path ->
-            write_file path src;
-            Fmt.pr "repaired program written to %s@." path
-        | None -> if not quiet then print_string src);
+        emit report.program;
         if not report.converged then exit Ec.not_converged;
         (* a schedule divergence means the "repaired" program still behaves
            nondeterministically: the repair did not actually converge *)
@@ -707,46 +653,6 @@ let repair_cmd =
     Arg.(
       value & flag
       & info [ "q"; "quiet" ] ~doc:"Do not print the repaired program.")
-  in
-  let placement =
-    Arg.(
-      value
-      & opt (enum [ ("batch", `Batch); ("incremental", `Incremental) ]) `Batch
-      & info [ "placement" ] ~docv:"P"
-          ~doc:
-            "Finish-placement strategy: $(b,batch) (all NS-LCA groups per \
-             detection run) or $(b,incremental) (the paper's §6.1 \
-             live-S-DPST loop).")
-  in
-  let validate_par =
-    Arg.(
-      value
-      & opt ~vopt:(Some 10) (some int) None
-      & info [ "validate-par" ] ~docv:"K"
-          ~doc:
-            "After convergence, re-run the repaired program under $(docv) \
-             deterministic fuzzed parallel schedules (default 10) and \
-             require each to reproduce the sequential semantics.  A \
-             divergence exits 2; schedules skipped under \
-             $(b,--budget-validate) exit 4.")
-  in
-  let validate_seed =
-    Arg.(
-      value & opt int 1
-      & info [ "validate-seed" ] ~docv:"S"
-          ~doc:
-            "Base schedule seed for $(b,--validate-par); schedule $(i,k) \
-             uses seed S+$(i,k), replayable with $(b,run --par=1 --seed).")
-  in
-  let budget_validate =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget-validate" ] ~docv:"MS"
-          ~doc:
-            "Wall-clock budget for $(b,--validate-par) in milliseconds; \
-             remaining schedules are skipped once it is exceeded (exit \
-             code 4).")
   in
   let trace_file =
     Arg.(
@@ -779,10 +685,7 @@ let repair_cmd =
           input, 4 repaired but degraded by a $(b,--budget-*) limit or \
           left unproven by $(b,--static-verify), 5 unrepairable.")
     Term.(
-      const run $ file_arg $ mode_arg $ backend_arg $ placement
-      $ strategy_arg $ set_arg $ budgets_term $ output_arg $ report_flag
-      $ quiet $ static_prune_arg $ static_verify_arg $ validate_par
-      $ validate_seed $ budget_validate $ shadow_chunk_arg $ spill_arg
+      const run $ file_arg $ config_term $ output_arg $ report_flag $ quiet
       $ trace_file $ metrics_file $ timeout_arg)
 
 let strip_cmd =
@@ -818,7 +721,7 @@ let elide_cmd =
 let coverage_cmd =
   let run file sets =
     or_die (fun () ->
-        let prog = apply_sets (compile file) sets in
+        let prog = Repair.Config.apply_sets sets (compile file) in
         let res = Rt.Interp.run prog in
         let cov = Repair.Coverage.of_runs prog [ res.tree ] in
         Fmt.pr "%a@." Repair.Coverage.pp cov)
@@ -861,14 +764,12 @@ let grade_file_cmd =
   let run file =
     or_die (fun () ->
         let prog = compile file in
-        let det, res = Espbags.Detector.detect Espbags.Detector.Mrw prog in
-        let races = Espbags.Detector.race_count det in
-        if races > 0 then begin
+        let d = Repair.Detect.run Repair.Config.default prog in
+        let res = d.exec in
+        if d.races <> [] then begin
           Fmt.pr
             "verdict: RACY — %d race(s) remain; e.g. %a@."
-            races
-            (Fmt.option Espbags.Race.pp)
-            (List.nth_opt (Espbags.Detector.races det) 0);
+            (List.length d.races) Espbags.Race.pp (List.hd d.races);
           exit Ec.grade_racy
         end
         else begin
@@ -899,11 +800,11 @@ let grade_file_cmd =
     Term.(const run $ file_arg)
 
 let explain_cmd =
-  let run file sets =
+  let run file config =
     or_die (fun () ->
-        let prog = apply_sets (compile file) sets in
-        let det, res = Espbags.Detector.detect Espbags.Detector.Mrw prog in
-        let races = Espbags.Detector.races det in
+        let prog = compile_with config file in
+        let d = Repair.Detect.run config prog in
+        let races = d.races and res = d.exec in
         let a, f, s, st = Sdpst.Node.count_by_kind res.tree in
         Fmt.pr
           "S-DPST: %d nodes (%d asyncs, %d finishes, %d scopes, %d steps), \
@@ -938,7 +839,11 @@ let explain_cmd =
             (fun i (n, v) -> if i < 10 then Fmt.pr "  %6d  %s@." n v)
             sorted;
           (* per NS-LCA dependence graphs *)
-          let groups, merged = Repair.Driver.place_for_tree ~program:prog races in
+          let groups, merged =
+            Repair.Driver.place_for_tree
+              ~guard:(Repair.Guard.make config.budgets)
+              ~program:prog races
+          in
           Fmt.pr "NS-LCA groups: %d@." (List.length groups);
           List.iteri
             (fun i (g : Repair.Driver.group_result) ->
@@ -960,7 +865,7 @@ let explain_cmd =
     (Cmd.info "explain"
        ~doc:
          "Explain a program's parallel structure: S-DPST shape, work and           critical path, contended locations, per-NS-LCA dependence graphs           and the suggested repair — the teaching view behind the paper's           course use-case.")
-    Term.(const run $ file_arg $ set_arg)
+    Term.(const run $ file_arg $ config_term)
 
 let bench_list_cmd =
   let run () =
@@ -1182,7 +1087,7 @@ let serve_cmd =
 
 let call_cmd =
   let module J = Obs.Json in
-  let run socket health shutdown op id file sets timeout_ms trace strategy =
+  let run socket health shutdown op id file config timeout_ms trace =
     or_die (fun () ->
         let req =
           if health then J.Obj [ ("op", J.Str "health") ]
@@ -1196,40 +1101,25 @@ let call_cmd =
                            --shutdown is given@.";
                   exit Ec.input_error
             in
-            let sets =
-              List.filter_map
-                (fun spec ->
-                  match String.index_opt spec '=' with
-                  | Some i ->
-                      Option.map
-                        (fun v -> (String.sub spec 0 i, J.Int v))
-                        (int_of_string_opt
-                           (String.sub spec (i + 1)
-                              (String.length spec - i - 1)))
-                  | None -> None)
-                sets
-            in
-            let flags =
-              (if sets = [] then [] else [ ("set", J.Obj sets) ])
-              @ (match timeout_ms with
-                | Some t -> [ ("timeout_ms", J.Int t) ]
-                | None -> [])
-              @ (match strategy with
-                | `Finish -> []
-                | c ->
-                    [
-                      ( "strategy",
-                        J.Str (Fmt.str "%a" Repair.Strategy.pp_choice c) );
-                    ])
+            (* the config's keys plus the serve-only ones *)
+            let serve_keys =
+              (match timeout_ms with
+              | Some t -> [ ("timeout_ms", J.Int t) ]
+              | None -> [])
               @ if trace then [ ("trace", J.Bool true) ] else []
             in
+            let flags =
+              match Repair.Config.to_json config with
+              | J.Obj kvs -> J.Obj (kvs @ serve_keys)
+              | j -> j
+            in
             J.Obj
-              ([
-                 ("op", J.Str op);
-                 ("id", J.Str id);
-                 ("src", J.Str (read_file file));
-               ]
-              @ if flags = [] then [] else [ ("flags", J.Obj flags) ])
+              [
+                ("op", J.Str op);
+                ("id", J.Str id);
+                ("src", J.Str (read_file file));
+                ("flags", flags);
+              ]
           end
         in
         let c = Serve.Client.connect socket in
@@ -1292,8 +1182,8 @@ let call_cmd =
           $(b,tdrepair serve) daemon and print the raw JSON reply.  Exit \
           codes: 0 ok, 4 degraded, 1 failed/overloaded.")
     Term.(
-      const run $ socket_arg $ health $ shutdown $ op $ id $ file $ set_arg
-      $ timeout_arg $ trace $ strategy_arg)
+      const run $ socket_arg $ health $ shutdown $ op $ id $ file
+      $ config_term $ timeout_arg $ trace)
 
 let main_cmd =
   let doc =

@@ -206,13 +206,13 @@ type verdict = {
     from the same starting point). *)
 let grade (s : submission) : verdict =
   let prog = Mhj.Front.compile s.src in
-  let det, res = Espbags.Detector.detect Espbags.Detector.Mrw prog in
+  let d = Repair.Detect.run Repair.Config.default prog in
   let stripped = Mhj.Transform.strip_finishes prog in
   let repaired = (Repair.Driver.repair stripped).program in
   let tool_res = Rt.Interp.run repaired in
   let tool_cpl = Sdpst.Analysis.critical_path_length tool_res.tree in
-  let races = Espbags.Detector.race_count det in
-  let cpl = Sdpst.Analysis.critical_path_length res.tree in
+  let races = List.length d.races in
+  let cpl = Sdpst.Analysis.critical_path_length d.exec.tree in
   let graded =
     if races > 0 then Racy else if cpl > tool_cpl then Oversync else Optimal
   in

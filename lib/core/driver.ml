@@ -117,32 +117,6 @@ let declare_metrics m =
 
 exception Unrepairable of string
 
-(** Which sequential detection backend executes the program: the
-    ESP-bags detectors (the paper's algorithm, the default), the
-    vector-clock detector ({!Vclock.Seq}, report-identical), or an
-    automatic per-workload pick ({!Vclock.Select.choose}).  The resolved
-    choice is recorded in [report.metrics] as [detector.backend]
-    (0 = espbags, 1 = vclock). *)
-type backend = [ `Espbags | `Vclock | `Auto ]
-
-let pp_backend ppf = function
-  | `Espbags -> Fmt.string ppf "espbags"
-  | `Vclock -> Fmt.string ppf "vclock"
-  | `Auto -> Fmt.string ppf "auto"
-
-(* Resolve [`Auto] against the program's task shape; returns the pick and
-   the human-readable reason (empty for explicit picks). *)
-let resolve_backend backend prog : [ `Espbags | `Vclock ] * string =
-  match backend with
-  | (`Espbags | `Vclock) as b -> (b, "")
-  | `Auto ->
-      let choice, reason = Vclock.Select.choose prog in
-      Log.info (fun m ->
-          m "backend auto-selection: %a (%s)" pp_backend
-            (choice :> backend)
-            reason);
-      (choice, reason)
-
 (* ------------------------------------------------------------------ *)
 (* Single-iteration placement                                          *)
 (* ------------------------------------------------------------------ *)
@@ -384,7 +358,7 @@ let place_incremental ?(guard = Guard.make Guard.unlimited)
 (* Full iterative repair                                               *)
 (* ------------------------------------------------------------------ *)
 
-let default_max_iterations = 10
+let max_iterations = 10
 
 let is_unrepairable = function Unrepairable _ -> true | _ -> false
 
@@ -419,47 +393,69 @@ let enforce_sdpst_budget ~guard (tree : Sdpst.Node.tree)
       end
   | _ -> ()
 
-(** Repair [prog]: iterate detection and placement until race-free.
+type rewrite = {
+  rewritten : Mhj.Ast.program;
+  groups : group_result list;
+  merged : Static_place.merged;
+}
 
-    @param mode detector flavour (default {!Espbags.Detector.Mrw})
-    @param strategy how one iteration maps races to placements:
-      [`Batch] (default) solves every NS-LCA group against the one S-DPST
-      of the detection run and merges the demands; [`Incremental] is the
-      paper's §6.1 loop, splicing each finish into a live S-DPST and
-      re-deriving the remaining races' NS-LCAs before the next placement.
-      Both converge to race-free programs; [`Batch] does less work per
-      iteration on large race sets.
-    @param max_iterations safety bound on repair iterations (default 10)
-    @param fuel interpreter fuel per run
-    @param budgets resource budgets (default {!Guard.unlimited}); on
-      exhaustion the repair degrades gracefully and records how in
-      [degradations]
-    @param static_prune run the static MHP pre-pass before each detection
-      run and skip instrumenting accesses it proves sequential (identical
-      race sets with MRW; see {!Static.Prune})
-    @param static_verify after convergence, run the static race checker on
-      the repaired program and record whether it is race-free for {e all}
-      inputs ([verified_static]), with unproven pairs in [static_residual]
-    @raise Unrepairable if some race admits no scope-valid fix
-    @raise Diag.Fail on typed pipeline failures (see {!repair_checked} for
-      the total variant) *)
-let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
-    ?(strategy = `Batch) ?(max_iterations = default_max_iterations) ?fuel
-    ?(budgets = Guard.unlimited) ?(static_prune = false)
-    ?(static_verify = false) ?validate_par ?shadow_chunk ?spill
-    (prog : Mhj.Ast.program) : report =
-  let layout = Option.map (fun n -> Tdrutil.Islab.Chunked n) shadow_chunk in
-  let spill = Option.map Espbags.Spill.config spill in
-  let guard = Guard.make budgets in
-  let fuel = Guard.effective_fuel guard fuel in
+type step = {
+  bound : int;
+  rewrite :
+    Guard.t -> Mhj.Ast.program -> Detect.result -> (rewrite, string) result;
+}
+
+let rewritten p =
+  Ok
+    {
+      rewritten = p;
+      groups = [];
+      merged = { Static_place.placements = []; n_demanded = 0; n_merged = 0 };
+    }
+
+(* The paper's step: NS-LCA grouping, the placement DP under the
+   S-DPST budget, and static finish insertion. *)
+let finish_step (placement : Config.placement) =
+  {
+    bound = max_iterations;
+    rewrite =
+      (fun guard program (d : Detect.result) ->
+        enforce_sdpst_budget ~guard d.exec.tree d.races;
+        let groups, merged =
+          Guard.at_stage ~passthrough:is_unrepairable Diag.Place (fun () ->
+              match placement with
+              | `Batch -> place_for_tree ~guard ~program d.races
+              | `Incremental ->
+                  place_incremental ~guard ~program d.exec.tree d.races)
+        in
+        Faultinject.fire Faultinject.Insert_fail;
+        let rewritten =
+          Guard.at_stage Diag.Insert (fun () ->
+              Obs.Trace.with_span "rewrite" (fun () ->
+                  Static_place.apply program merged))
+        in
+        Ok { rewritten; groups; merged });
+  }
+
+type 'v run = { report : report; verdict : 'v; stuck : string option }
+
+let loop (config : Config.t) (step : step) ~verdict (prog : Mhj.Ast.program) =
+  (* resolve [`Auto] once, against the input program *)
+  let backend, _ = Detect.backend config prog in
+  let config = { config with backend = (backend :> Config.backend) } in
+  let guard = Guard.make config.budgets in
   let metrics = Obs.Metrics.create () in
   declare_metrics metrics;
-  let backend, _auto_reason = resolve_backend backend prog in
   Obs.Metrics.set metrics "detector.backend"
     (match backend with `Espbags -> 0 | `Vclock -> 1);
-  let finish program iterations ~converged ~final_races =
+  let finish program iterations (last : Detect.result) stuck =
+    (* [last] is dead after these three uses, so the post-convergence
+       checks below do not keep its S-DPST alive *)
+    let verdict = verdict last in
+    let converged = last.races = [] in
+    let final_races = List.length last.races in
     let verified_static, static_residual =
-      if static_verify && converged then
+      if config.static_verify && converged then
         let summary, _mhp, cs =
           Guard.at_stage Diag.Lint (fun () ->
               Obs.Trace.with_span "static-verify" (fun () ->
@@ -469,12 +465,14 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
       else (None, [])
     in
     let validated_par =
-      match validate_par with
+      match config.validate_par with
       | Some req when converged ->
           let v =
             Guard.at_stage Diag.Interp (fun () ->
                 Obs.Trace.with_span "validate-par" (fun () ->
-                    Par.Validate.of_request ?fuel req program))
+                    Par.Validate.of_request
+                      ?fuel:(Guard.fuel config.budgets)
+                      req program))
           in
           if v.Par.Validate.skipped > 0 then
             Guard.note guard
@@ -491,22 +489,25 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
     Obs.Metrics.set metrics "driver.iterations" (List.length iterations);
     Obs.Metrics.set metrics "driver.degradations"
       (List.length (Guard.degradations guard));
-    {
-      program;
-      mode;
-      iterations = List.rev iterations;
-      converged;
-      final_races;
-      degradations = Guard.degradations guard;
-      verified_static;
-      static_residual;
-      validated_par;
-      metrics = Obs.Metrics.snapshot metrics;
-    }
+    let report =
+      {
+        program;
+        mode = config.mode;
+        iterations = List.rev iterations;
+        converged;
+        final_races;
+        degradations = Guard.degradations guard;
+        verified_static;
+        static_residual;
+        validated_par;
+        metrics = Obs.Metrics.snapshot metrics;
+      }
+    in
+    { report; verdict; stuck }
   in
-  (* One detection(+placement) round, wrapped in an "iteration" span; the
+  (* One detection(+rewrite) round, wrapped in an "iteration" span; the
      recursion and the final report assembly stay outside the span. *)
-  let rec loop program iterations remaining =
+  let rec go program iterations remaining =
     let outcome =
       Obs.Trace.with_span "iteration"
         ~args:[ ("n", List.length iterations) ]
@@ -514,52 +515,17 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
       let t0 = Unix.gettimeofday () in
       Faultinject.fire Faultinject.Detector_abort;
       Faultinject.fire_slow ();
-      (* the pre-pass is recomputed per iteration: inserted finishes shrink
+      (* the static pre-pass runs per iteration: inserted finishes shrink
          the MHP relation, so later runs may skip more *)
-      let keep =
-        if static_prune then begin
-          let pr =
-            Guard.at_stage Diag.Lint (fun () ->
-                Obs.Trace.with_span "static-prune" (fun () ->
-                    Static.Prune.make program))
-          in
-          (* gauges: the latest pre-pass describes the current program *)
+      let d = Detect.run config program in
+      let detect_time = Unix.gettimeofday () -. t0 in
+      (* prune gauges: the latest pre-pass describes the current program *)
+      Option.iter
+        (fun pr ->
           List.iter
             (fun (k, v) -> Obs.Metrics.set metrics k v)
-            (Static.Prune.stats pr);
-          Some (Static.Prune.keep_fn pr)
-        end
-        else None
-      in
-      (* Both backends share the detection contract: run the program
-         depth-first, return the same Race.t records over the same
-         S-DPST (the differential suite holds them report-identical). *)
-      let races, det_stats, n_accesses, n_skipped, res =
-        Guard.at_stage Diag.Detect (fun () ->
-            Obs.Trace.with_span "detect" (fun () ->
-                match backend with
-                | `Espbags ->
-                    let det, res =
-                      Espbags.Detector.detect ?fuel ?keep ?layout ?spill mode
-                        program
-                    in
-                    ( Espbags.Detector.races det,
-                      Espbags.Detector.stats det,
-                      det.Espbags.Detector.n_accesses,
-                      det.Espbags.Detector.n_skipped,
-                      res )
-                | `Vclock ->
-                    let det, res =
-                      Vclock.Seq.detect ?fuel ?keep ?layout ?spill mode
-                        program
-                    in
-                    ( Vclock.Seq.races det,
-                      Vclock.Seq.stats det,
-                      det.Vclock.Seq.n_accesses,
-                      det.Vclock.Seq.n_skipped,
-                      res )))
-      in
-      let detect_time = Unix.gettimeofday () -. t0 in
+            (Static.Prune.stats pr))
+        d.prune;
       (* shadow sizes and RSS are gauges (the latest run's footprint),
          unlike the rest of the detector schema, which accumulates
          across iterations *)
@@ -567,70 +533,63 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
         k = "detector.shadow_slabs" || k = "detector.shadow_words"
       in
       Obs.Metrics.add_all metrics
-        (List.filter (fun kv -> not (shadow_gauge kv)) det_stats);
+        (List.filter (fun kv -> not (shadow_gauge kv)) d.stats);
       List.iter
         (fun ((k, v) as kv) ->
           if shadow_gauge kv then Obs.Metrics.set metrics k v)
-        det_stats;
+        d.stats;
       Obs.Metrics.set metrics "detector.peak_rss_kb" (Obs.Rusage.peak_rss_kb ());
-      (* Races whose both endpoints sit inside [isolated] sections are
-         discharged by mutual exclusion — the detectors run the body as a
-         plain scope and cannot see the serialization. *)
-      let races = Isolate.suppress program races in
-      if races = [] then `Converged
-      else if remaining = 0 then `Exhausted (List.length races)
+      if d.races = [] || remaining = 0 then `Stop (d, None)
       else begin
         let t1 = Unix.gettimeofday () in
-        enforce_sdpst_budget ~guard res.Rt.Interp.tree races;
-        let groups, merged =
-          Guard.at_stage ~passthrough:is_unrepairable Diag.Place (fun () ->
-              match strategy with
-              | `Batch -> place_for_tree ~guard ~program races
-              | `Incremental ->
-                  place_incremental ~guard ~program res.Rt.Interp.tree races)
-        in
-        Faultinject.fire Faultinject.Insert_fail;
-        let program' =
-          Guard.at_stage Diag.Insert (fun () ->
-              Obs.Trace.with_span "rewrite" (fun () ->
-                  Static_place.apply program merged))
-        in
-        let place_time = Unix.gettimeofday () -. t1 in
-        let iter =
-          {
-            n_races = List.length races;
-            n_race_pairs =
-              List.length (Espbags.Race.dedupe_by_steps races);
-            n_groups = List.length groups;
-            groups;
-            merged;
-            detect_time;
-            place_time;
-            sdpst_nodes = res.tree.Sdpst.Node.n_nodes;
-            n_accesses;
-            n_skipped;
-          }
-        in
-        Obs.Metrics.add metrics "driver.races" iter.n_races;
-        Obs.Metrics.add metrics "driver.race_pairs" iter.n_race_pairs;
-        Obs.Metrics.add metrics "driver.groups" iter.n_groups;
-        Obs.Metrics.add metrics "driver.finishes_inserted"
-          (List.length merged.placements);
-        Log.info (fun m ->
-            m "iteration: %d races (%d pairs) at %d NS-LCAs -> %d finish(es)"
-              iter.n_races iter.n_race_pairs iter.n_groups
-              (List.length merged.placements));
-        `Next (program', iter)
+        match step.rewrite guard program d with
+        | Error note -> `Stop (d, Some note)
+        | Ok { rewritten; groups; merged } ->
+            let place_time = Unix.gettimeofday () -. t1 in
+            let iter =
+              {
+                n_races = List.length d.races;
+                n_race_pairs =
+                  List.length (Espbags.Race.dedupe_by_steps d.races);
+                n_groups = List.length groups;
+                groups;
+                merged;
+                detect_time;
+                place_time;
+                sdpst_nodes = d.exec.tree.Sdpst.Node.n_nodes;
+                n_accesses = Detect.count d "detector.accesses";
+                n_skipped = Detect.count d "detector.skipped";
+              }
+            in
+            Obs.Metrics.add metrics "driver.races" iter.n_races;
+            Obs.Metrics.add metrics "driver.race_pairs" iter.n_race_pairs;
+            Obs.Metrics.add metrics "driver.groups" iter.n_groups;
+            Obs.Metrics.add metrics "driver.finishes_inserted"
+              (List.length merged.placements);
+            Log.info (fun m ->
+                m
+                  "iteration: %d races (%d pairs) at %d NS-LCAs -> %d \
+                   finish(es)"
+                  iter.n_races iter.n_race_pairs iter.n_groups
+                  (List.length merged.placements));
+            `Next (rewritten, iter)
       end
     in
     match outcome with
-    | `Converged -> finish program iterations ~converged:true ~final_races:0
-    | `Exhausted n ->
-        finish program iterations ~converged:false ~final_races:n
+    | `Stop (d, stuck) -> finish program iterations d stuck
     | `Next (program', iter) ->
-        loop program' (iter :: iterations) (remaining - 1)
+        go program' (iter :: iterations) (remaining - 1)
   in
-  loop prog [] max_iterations
+  go prog [] step.bound
+
+(** Repair [prog]: iterate detection and finish placement until
+    race-free (see driver.mli). *)
+let repair ?(config = Config.default) ?validate_par (prog : Mhj.Ast.program)
+    : report =
+  let config =
+    if validate_par = None then config else { config with validate_par }
+  in
+  (loop config (finish_step config.placement) ~verdict:ignore prog).report
 
 let classify_unrepairable = function
   | Unrepairable m -> Some (Diag.make ~stage:Diag.Place m)
@@ -640,16 +599,14 @@ let classify_unrepairable = function
     the analyzed program, fuel exhaustion, placement infeasibility,
     injected faults, internal invariant violations — comes back as a typed
     diagnostic instead of an exception. *)
-let repair_checked ?mode ?backend ?strategy ?max_iterations ?fuel ?budgets
-    ?static_prune ?static_verify ?validate_par ?shadow_chunk ?spill prog :
-    (report, Diag.t) result =
-  Guard.capture ~classify:classify_unrepairable (fun () ->
-      repair ?mode ?backend ?strategy ?max_iterations ?fuel ?budgets
-        ?static_prune ?static_verify ?validate_par ?shadow_chunk ?spill prog)
+let repair_checked ?config prog : (report, Diag.t) result =
+  Guard.capture ~classify:classify_unrepairable (fun () -> repair ?config prog)
 
 (** Total placements inserted across all iterations. *)
 let total_placements (r : report) : Mhj.Transform.placement list =
-  List.concat_map (fun it -> it.merged.Static_place.placements) r.iterations
+  List.concat_map
+    (fun (it : iteration) -> it.merged.Static_place.placements)
+    r.iterations
 
 (* ------------------------------------------------------------------ *)
 (* Multi-input repair (paper §2: "the tool is applied iteratively for   *)
@@ -675,27 +632,16 @@ type multi_report = {
     budget exhaustion, unrepairable race) is recorded in [failures] and
     does not stop the others.  Also reports the combined statement/async
     coverage of the input set — the paper's §9 test-suitability metric. *)
-let repair_multi ?(mode = Espbags.Detector.Mrw) ?backend
-    ?(strategy = `Batch) ?(max_rounds = 10) ?fuel
-    ?(budgets = Guard.unlimited)
+let repair_multi ?(config = Config.default)
     ~(inputs : (string * (string * int) list) list)
     (prog : Mhj.Ast.program) : multi_report =
-  let apply_input program overrides =
-    List.fold_left
-      (fun p (g, v) ->
-        try Mhj.Transform.set_global_int p g v
-        with Invalid_argument m ->
-          raise (Diag.Fail (Diag.make ~stage:Diag.Typecheck m)))
-      program overrides
-  in
   let rec loop program round =
     let outcomes =
       List.map
         (fun (label, overrides) ->
           ( label,
             Guard.capture ~classify:classify_unrepairable (fun () ->
-                repair ~mode ?backend ~strategy ?fuel ~budgets
-                  (apply_input program overrides)) ))
+                repair ~config (Config.apply_sets overrides program)) ))
         inputs
     in
     let reports =
@@ -729,15 +675,15 @@ let repair_multi ?(mode = Espbags.Detector.Mrw) ?backend
     in
     let merged = Static_place.merge ~scopes demands in
     let placements = merged.Static_place.placements in
-    if placements = [] || round >= max_rounds then begin
-      let cov_fuel = Guard.effective_fuel (Guard.make budgets) fuel in
+    if placements = [] || round >= max_iterations then begin
+      let cov_fuel = Guard.fuel config.budgets in
       let trees =
         List.filter_map
           (fun (_, overrides) ->
             match
               Guard.capture (fun () ->
                   (Rt.Interp.run ?fuel:cov_fuel
-                     (apply_input program overrides))
+                     (Config.apply_sets overrides program))
                     .tree)
             with
             | Ok tree -> Some tree

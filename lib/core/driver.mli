@@ -70,16 +70,6 @@ type report = {
 exception Unrepairable of string
 (** Some race admits no scope-valid finish placement. *)
 
-(** Sequential detection backend: the ESP-bags detectors (the paper's
-    algorithm, default), the vector-clock detector ({!Vclock.Seq},
-    report-identical — the differential suite holds them record-equal),
-    or a per-workload automatic pick ({!Vclock.Select.choose}).  The
-    resolved choice lands in [report.metrics] as [detector.backend]
-    (0 = espbags, 1 = vclock). *)
-type backend = [ `Espbags | `Vclock | `Auto ]
-
-val pp_backend : backend Fmt.t
-
 (** One placement pass: the dynamic placement + location mapping for the
     races of a single detector run, without touching the program.
     Trace-file workflows (paper Appendix A) drive this directly.
@@ -102,49 +92,62 @@ val place_incremental :
   Espbags.Race.t list ->
   group_result list * Static_place.merged
 
-val default_max_iterations : int
+(** {1 The repair loop} *)
 
-(** Repair [prog]: iterate detection and placement until race-free.
+(** What one rewrite round produced. *)
+type rewrite = {
+  rewritten : Mhj.Ast.program;
+  groups : group_result list;  (** NS-LCA groups solved ([]) if none *)
+  merged : Static_place.merged;  (** finishes placed (empty if none) *)
+}
 
-    @param mode detector flavour (default {!Espbags.Detector.Mrw})
-    @param backend which detector implementation executes the program
-      (default [`Espbags]; [`Auto] resolves per workload)
-    @param strategy [`Batch] (default) solves every NS-LCA group of a
-      detection run at once; [`Incremental] is the paper's §6.1 live-tree
-      loop.  Both converge; [`Batch] does less work on large race sets.
-    @param max_iterations safety bound (default 10)
-    @param fuel interpreter fuel per run
-    @param budgets resource budgets (default {!Guard.unlimited}); on
-      exhaustion the repair degrades gracefully and records how in the
-      report's [degradations]
-    @param static_prune run the static MHP pre-pass ({!Static.Prune})
-      before each detection run and skip instrumenting accesses it proves
-      sequential; with MRW the reported race set is unchanged
-    @param static_verify after convergence, run the static race checker
-      on the repaired program and record the verdict in [verified_static]
-      (with unproven pairs in [static_residual])
-    @param validate_par after convergence, re-run the repaired program
-      under fuzzed parallel schedules and record the differential outcome
-      in [validated_par] (see {!Par.Validate})
-    @param shadow_chunk grow the detector's shadow tables in slab chunks
-      of this many slots (default {!Tdrutil.Islab.default_chunk}); the
-      reported races are unchanged (DESIGN.md §15)
-    @param spill bound in-memory race records by draining overflow to
-      this file in {!Espbags.Trace} format; reported races unchanged
+(** A rewrite step and its round bound.  [rewrite guard program d] fixes
+    the races of detection run [d] of [program]; [Error note] means the
+    step cannot, and ends the loop with that note. *)
+type step = {
+  bound : int;  (** rewrite rounds before the loop gives up *)
+  rewrite :
+    Guard.t -> Mhj.Ast.program -> Detect.result -> (rewrite, string) result;
+}
+
+(** [Ok] for a step that rewrote [p] without placing finishes. *)
+val rewritten : Mhj.Ast.program -> (rewrite, string) result
+
+(** Finish insertion — NS-LCA grouping, the placement DP under the
+    S-DPST and DP budgets, static insertion — bounded by 10 rounds. *)
+val finish_step : Config.placement -> step
+
+type 'v run = {
+  report : report;
+  verdict : 'v;  (** [verdict] applied to the loop's final detection *)
+  stuck : string option;  (** the step's note, when it gave up *)
+}
+
+(** The one detect→rewrite loop (paper Figure 6): detect under the
+    config; stop when no race survives or the step's round bound is
+    spent; otherwise let the step rewrite the program and detect again.
+    Every step inherits the guard (budgets, degradations), the
+    ["iteration"]/["detect"] spans, the metrics and the config.  An
+    [`Auto] backend is resolved once, against [prog].  The final
+    detection run is handed to [verdict]; then, after convergence, the
+    config's [static_verify] and [validate_par] checks run.
+    @raise Unrepairable if some race admits no scope-valid fix
+    @raise Diag.Fail on typed pipeline failures *)
+val loop :
+  Config.t ->
+  step ->
+  verdict:(Detect.result -> 'v) ->
+  Mhj.Ast.program ->
+  'v run
+
+(** Repair [prog] with {!finish_step} under [config] (default
+    {!Config.default}): iterate detection and placement until race-free.
+    [validate_par], when given, overrides the config's.
     @raise Unrepairable if some race admits no scope-valid fix
     @raise Diag.Fail on typed pipeline failures *)
 val repair :
-  ?mode:Espbags.Detector.mode ->
-  ?backend:backend ->
-  ?strategy:[ `Batch | `Incremental ] ->
-  ?max_iterations:int ->
-  ?fuel:int ->
-  ?budgets:Guard.budgets ->
-  ?static_prune:bool ->
-  ?static_verify:bool ->
+  ?config:Config.t ->
   ?validate_par:Par.Validate.request ->
-  ?shadow_chunk:int ->
-  ?spill:string ->
   Mhj.Ast.program ->
   report
 
@@ -153,19 +156,7 @@ val repair :
     infeasibility, injected faults, internal invariant violations — comes
     back as a typed diagnostic instead of an exception. *)
 val repair_checked :
-  ?mode:Espbags.Detector.mode ->
-  ?backend:backend ->
-  ?strategy:[ `Batch | `Incremental ] ->
-  ?max_iterations:int ->
-  ?fuel:int ->
-  ?budgets:Guard.budgets ->
-  ?static_prune:bool ->
-  ?static_verify:bool ->
-  ?validate_par:Par.Validate.request ->
-  ?shadow_chunk:int ->
-  ?spill:string ->
-  Mhj.Ast.program ->
-  (report, Diag.t) result
+  ?config:Config.t -> Mhj.Ast.program -> (report, Diag.t) result
 
 (** All placements inserted across the report's iterations. *)
 val total_placements : report -> Mhj.Transform.placement list
@@ -183,20 +174,15 @@ type multi_report = {
 }
 
 (** Repair one program under several test inputs, each a labelled set of
-    int-global overrides ({!Mhj.Transform.set_global_int}).  Placements
-    demanded under any input are merged into the shared base program;
-    rounds continue until every input's execution is race-free (or
-    [max_rounds]).  An input that fails — malformed override, runtime
+    int-global overrides ({!Config.apply_sets}), each repaired under
+    [config].  Placements demanded under any input are merged into the
+    shared base program; rounds continue until every input's execution is
+    race-free (at most 10 rounds).  An input that fails — malformed override, runtime
     fault, budget exhaustion, unrepairable race — lands in [failures]
     without stopping the other inputs.  The result includes the combined
     coverage of the input set — the paper's §9 test-suitability metric. *)
 val repair_multi :
-  ?mode:Espbags.Detector.mode ->
-  ?backend:backend ->
-  ?strategy:[ `Batch | `Incremental ] ->
-  ?max_rounds:int ->
-  ?fuel:int ->
-  ?budgets:Guard.budgets ->
+  ?config:Config.t ->
   inputs:(string * (string * int) list) list ->
   Mhj.Ast.program ->
   multi_report

@@ -20,11 +20,13 @@
       iteration distance, so every conflicting pair is separated by a
       join.
 
-    Every candidate is re-verified by a fresh detection run under the
-    chosen backend; [isolated]-protected pairs are discharged by
-    {!Isolate.split} and turned into mutual-exclusion edges for
-    scoring.  Per-strategy outcomes land in the [strategy.*] metric
-    family. *)
+    Each strategy is a rewrite step of the driver loop ({!Driver.loop}),
+    so every candidate inherits the config, the guard and its budgets,
+    and the spans.  A candidate is verified and scored from its loop's
+    final detection: no race survives, the output matches the input's,
+    and [isolated]-protected pairs ({!Isolate.split}) become
+    mutual-exclusion edges for scoring.  Per-strategy outcomes land in
+    the [strategy.*] metric family. *)
 
 let src = Logs.Src.create "tdrace.strategy" ~doc:"repair-strategy tournament"
 
@@ -56,23 +58,6 @@ type candidate = {
   note : string;  (** why the strategy produced nothing (diagnostic) *)
 }
 
-type choice = [ `Finish | `Isolated | `Elide | `Chunk | `Tournament ]
-
-let pp_choice ppf = function
-  | `Finish -> Fmt.string ppf "finish"
-  | `Isolated -> Fmt.string ppf "isolated"
-  | `Elide -> Fmt.string ppf "elide"
-  | `Chunk -> Fmt.string ppf "chunk"
-  | `Tournament -> Fmt.string ppf "tournament"
-
-let choice_of_string = function
-  | "finish" -> Some `Finish
-  | "isolated" -> Some `Isolated
-  | "elide" -> Some `Elide
-  | "chunk" -> Some `Chunk
-  | "tournament" -> Some `Tournament
-  | _ -> None
-
 type outcome = {
   winner : candidate;
   program : Mhj.Ast.program;  (** the winner's race-free rewrite *)
@@ -81,23 +66,6 @@ type outcome = {
       (** the finish-insertion driver report, when that strategy ran *)
   metrics : (string * int) list;  (** the [strategy.*] metric family *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* Detection plumbing                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* One detection run under the resolved backend: all reported races
-   plus the execution's S-DPST (for scoring) and its output (for the
-   test-driven semantic check). *)
-let detect ~(backend : [ `Espbags | `Vclock ]) ?fuel ~mode prog :
-    Espbags.Race.t list * Sdpst.Node.tree * string =
-  match backend with
-  | `Espbags ->
-      let det, res = Espbags.Detector.detect ?fuel mode prog in
-      (Espbags.Detector.races det, res.Rt.Interp.tree, res.Rt.Interp.output)
-  | `Vclock ->
-      let det, res = Vclock.Seq.detect ?fuel mode prog in
-      (Vclock.Seq.races det, res.Rt.Interp.tree, res.Rt.Interp.output)
 
 (* Serialization edges for scoring: each discharged race pins its two
    step instances into a depth-first mutual-exclusion order. *)
@@ -109,48 +77,9 @@ let serialize_pairs (discharged : Espbags.Race.t list) : (int * int) list =
 
 (** Does a fresh detection run under [backend] come back race-free
     (after mutual-exclusion discharge of [isolated] pairs)? *)
-let race_free ?(mode = Espbags.Detector.Mrw) ~backend ?fuel prog : bool =
-  let races, _, _ = detect ~backend ?fuel ~mode prog in
-  Isolate.suppress prog races = []
-
-(* ------------------------------------------------------------------ *)
-(* Strategy: finish insertion (the paper's repair)                     *)
-(* ------------------------------------------------------------------ *)
-
-let finish_candidate ~mode ~backend ~expected ?fuel ?procs ?max_iterations
-    prog : candidate * Driver.report option =
-  match
-    Driver.repair ~mode
-      ~backend:(backend :> Driver.backend)
-      ?fuel ?max_iterations prog
-  with
-  | report ->
-      let races, tree, output =
-        detect ~backend ?fuel ~mode report.Driver.program
-      in
-      let surviving, discharged = Isolate.split report.program races in
-      let score =
-        Score.of_tree ?procs ~serialize:(serialize_pairs discharged) tree
-      in
-      ( {
-          kind = Finish;
-          program = Some report.program;
-          verified = report.converged && surviving = [] && output = expected;
-          score = Some score;
-          rounds = List.length report.iterations;
-          note = (if output = expected then "" else "output differs");
-        },
-        Some report )
-  | exception Driver.Unrepairable msg ->
-      ( {
-          kind = Finish;
-          program = None;
-          verified = false;
-          score = None;
-          rounds = 0;
-          note = msg;
-        },
-        None )
+let race_free ~backend prog : bool =
+  (Detect.run { Config.default with backend :> Config.backend } prog).races
+  = []
 
 (* ------------------------------------------------------------------ *)
 (* Strategy: isolated sections                                         *)
@@ -234,54 +163,14 @@ let isolated_placements (p : Mhj.Ast.program) (races : Espbags.Race.t list) :
       if pls = [] then Error "no uncovered racing endpoint to wrap"
       else Ok pls
 
-let isolated_max_rounds = 5
-
-(* One refinement round shared by the iterative strategies: detect,
-   discharge isolated pairs, and when clean check the candidate still
-   prints the test's expected output. *)
-let round_result ~kind ~backend ?fuel ?procs ~mode ~expected p round :
-    [ `Verified of candidate | `Fail of string | `Races of Espbags.Race.t list ]
-    =
-  let races, tree, output = detect ~backend ?fuel ~mode p in
-  let surviving, discharged = Isolate.split p races in
-  if surviving = [] then
-    if output = expected then
-      `Verified
-        {
-          kind;
-          program = Some p;
-          verified = true;
-          score =
-            Some
-              (Score.of_tree ?procs ~serialize:(serialize_pairs discharged)
-                 tree);
-          rounds = round;
-          note = "";
-        }
-    else `Fail "output differs from the test's expected output"
-  else `Races surviving
-
-let isolated_candidate ~mode ~backend ~expected ?fuel ?procs prog : candidate =
-  let fail round note =
-    { kind = Isolated; program = None; verified = false; score = None;
-      rounds = round; note }
-  in
-  let rec go p round =
-    match
-      round_result ~kind:Isolated ~backend ?fuel ?procs ~mode ~expected p
-        round
-    with
-    | `Verified c -> c
-    | `Fail note -> fail round note
-    | `Races surviving -> (
-        if round >= isolated_max_rounds then
-          fail round "round budget exhausted"
-        else
-          match isolated_placements p surviving with
-          | Error note -> fail round note
-          | Ok pls -> go (Mhj.Transform.insert_isolated p pls) (round + 1))
-  in
-  go prog 0
+let isolated_step : Driver.step =
+  {
+    bound = 5;
+    rewrite =
+      (fun _guard p (d : Detect.result) ->
+        Result.bind (isolated_placements p d.races) (fun pls ->
+            Driver.rewritten (Mhj.Transform.insert_isolated p pls)));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Strategy: async elision                                             *)
@@ -293,41 +182,28 @@ let rec async_sid (n : Sdpst.Node.t) : int option =
   | Sdpst.Node.Async -> Some n.sid
   | _ -> Option.bind n.parent async_sid
 
-let elide_candidate ~mode ~backend ~expected ?fuel ?procs prog : candidate =
-  let fail round note =
-    { kind = Elide; program = None; verified = false; score = None;
-      rounds = round; note }
-  in
-  let max_rounds = Mhj.Ast.count_asyncs prog + 1 in
-  let rec go p round =
-    match
-      round_result ~kind:Elide ~backend ?fuel ?procs ~mode ~expected p round
-    with
-    | `Verified c -> c
-    | `Fail note -> fail round note
-    | `Races surviving ->
-        if round >= max_rounds then fail round "round budget exhausted"
-        else begin
-          let sids =
-            List.fold_left
-              (fun acc (r : Espbags.Race.t) ->
-                let add acc n =
-                  match async_sid n with
-                  | Some sid -> Isolate.IntSet.add sid acc
-                  | None -> acc
-                in
-                add (add acc r.src) r.sink)
-              Isolate.IntSet.empty surviving
-          in
-          if Isolate.IntSet.is_empty sids then
-            fail round "racing tasks have no async ancestor"
-          else
-            go
-              (Mhj.Transform.elide_asyncs p (Isolate.IntSet.elements sids))
-              (round + 1)
-        end
-  in
-  go prog 0
+let elide_step (prog : Mhj.Ast.program) : Driver.step =
+  {
+    bound = Mhj.Ast.count_asyncs prog + 1;
+    rewrite =
+      (fun _guard p (d : Detect.result) ->
+        let sids =
+          List.fold_left
+            (fun acc (r : Espbags.Race.t) ->
+              let add acc n =
+                match async_sid n with
+                | Some sid -> Isolate.IntSet.add sid acc
+                | None -> acc
+              in
+              add (add acc r.src) r.sink)
+            Isolate.IntSet.empty d.races
+        in
+        if Isolate.IntSet.is_empty sids then
+          Error "racing tasks have no async ancestor"
+        else
+          Driver.rewritten
+            (Mhj.Transform.elide_asyncs p (Isolate.IntSet.elements sids)));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Strategy: loop chunking                                             *)
@@ -359,23 +235,23 @@ let loop_table (p : Mhj.Ast.program) : (int, loop_info) Hashtbl.t =
   tbl
 
 let path_to (n : Sdpst.Node.t) : Sdpst.Node.t list =
-  let rec go n acc =
+  let rec climb n acc =
     match n.Sdpst.Node.parent with
     | None -> n :: acc
-    | Some p -> go p (n :: acc)
+    | Some p -> climb p (n :: acc)
   in
-  go n []
+  climb n []
 
 (* If the race is loop-carried — the two endpoints' tree paths diverge
    at two iteration scopes of one chunkable for loop — return the loop's
    statement id and the iteration ordinal distance. *)
 let race_loop (tbl : (int, loop_info) Hashtbl.t) (a : Sdpst.Node.t)
     (b : Sdpst.Node.t) : (int * int) option =
-  let rec go pa pb =
+  let rec diverge pa pb =
     match (pa, pb) with
     | x :: (xa :: _ as ra), y :: (yb :: _ as rb)
       when x.Sdpst.Node.id = y.Sdpst.Node.id ->
-        if xa.Sdpst.Node.id = yb.Sdpst.Node.id then go ra rb
+        if xa.Sdpst.Node.id = yb.Sdpst.Node.id then diverge ra rb
         else if
           xa.Sdpst.Node.sid = yb.Sdpst.Node.sid
           && Sdpst.Node.is_scope xa && Sdpst.Node.is_scope yb
@@ -399,52 +275,38 @@ let race_loop (tbl : (int, loop_info) Hashtbl.t) (a : Sdpst.Node.t)
         else None
     | _ -> None
   in
-  go (path_to a) (path_to b)
+  diverge (path_to a) (path_to b)
 
-let chunk_max_rounds = 4
-
-let chunk_candidate ~mode ~backend ~expected ?fuel ?procs prog : candidate =
-  let fail round note =
-    { kind = Chunk; program = None; verified = false; score = None;
-      rounds = round; note }
-  in
-  let rec go p round =
-    match
-      round_result ~kind:Chunk ~backend ?fuel ?procs ~mode ~expected p round
-    with
-    | `Verified c -> c
-    | `Fail note -> fail round note
-    | `Races surviving ->
-      if round >= chunk_max_rounds then fail round "round budget exhausted"
-      else begin
-      let tbl = loop_table p in
-      (* minimum racing iteration distance per loop *)
-      let dmin : (int, int) Hashtbl.t = Hashtbl.create 4 in
-      let err = ref None in
-      List.iter
-        (fun (r : Espbags.Race.t) ->
-          if !err = None then
-            match race_loop tbl r.src r.sink with
-            | Some (for_sid, d) when d >= 1 ->
-                let cur =
-                  Option.value ~default:max_int
-                    (Hashtbl.find_opt dmin for_sid)
-                in
-                Hashtbl.replace dmin for_sid (min cur d)
-            | _ -> err := Some "race is not carried by a chunkable loop")
-        surviving;
-      match !err with
-      | Some note -> fail round note
-      | None ->
-          let p' =
-            Hashtbl.fold
-              (fun for_sid d p -> Mhj.Transform.chunk_loop p ~sid:for_sid ~chunk:d)
-              dmin p
-          in
-          go p' (round + 1)
-    end
-  in
-  go prog 0
+let chunk_step : Driver.step =
+  {
+    bound = 4;
+    rewrite =
+      (fun _guard p (d : Detect.result) ->
+        let tbl = loop_table p in
+        (* minimum racing iteration distance per loop *)
+        let dmin : (int, int) Hashtbl.t = Hashtbl.create 4 in
+        let err = ref None in
+        List.iter
+          (fun (r : Espbags.Race.t) ->
+            if !err = None then
+              match race_loop tbl r.src r.sink with
+              | Some (for_sid, d) when d >= 1 ->
+                  let cur =
+                    Option.value ~default:max_int
+                      (Hashtbl.find_opt dmin for_sid)
+                  in
+                  Hashtbl.replace dmin for_sid (min cur d)
+              | _ -> err := Some "race is not carried by a chunkable loop")
+          d.races;
+        match !err with
+        | Some note -> Error note
+        | None ->
+            Driver.rewritten
+              (Hashtbl.fold
+                 (fun for_sid d p ->
+                   Mhj.Transform.chunk_loop p ~sid:for_sid ~chunk:d)
+                 dmin p));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Tournament                                                          *)
@@ -472,118 +334,121 @@ let metrics_of (candidates : candidate list) (winner : candidate) :
          | None -> [ (k "cpl", 0); (k "work", 0); (k "makespan", 0) ])
        candidates
 
-let resolve (backend : Driver.backend) prog : [ `Espbags | `Vclock ] =
-  match backend with
-  | (`Espbags | `Vclock) as b -> b
-  | `Auto -> fst (Vclock.Select.choose prog)
+let unproduced kind rounds note =
+  { kind; program = None; verified = false; score = None; rounds; note }
+
+(* One candidate: its step's loop from the input, verified and scored
+   from the loop's final detection. *)
+let candidate config ~expected kind prog : candidate * Driver.report option =
+  let step =
+    match kind with
+    | Finish -> Driver.finish_step config.Config.placement
+    | Isolated -> isolated_step
+    | Elide -> elide_step prog
+    | Chunk -> chunk_step
+  in
+  let verdict (d : Detect.result) =
+    if d.races = [] && d.exec.output = expected then
+      Some
+        (Score.of_tree ~serialize:(serialize_pairs d.discharged) d.exec.tree)
+    else None
+  in
+  let { Driver.report; verdict; stuck } =
+    Driver.loop config step ~verdict prog
+  in
+  let rounds = List.length report.iterations in
+  let finish_report = if kind = Finish then Some report else None in
+  let unproduced note = (unproduced kind rounds note, finish_report) in
+  match (verdict, stuck) with
+  | Some score, _ ->
+      ( {
+          kind;
+          program = Some report.program;
+          verified = true;
+          score = Some score;
+          rounds;
+          note = "";
+        },
+        finish_report )
+  | None, Some note -> unproduced note
+  | None, None when not report.converged -> unproduced "round budget exhausted"
+  | None, None -> unproduced "output differs from the test's expected output"
 
 (* Shield the tournament from one strategy's internal failure (e.g. a
    rewrite producing a program the interpreter rejects): the candidate
-   is marked unproduced, the others still compete. *)
-let guarded kind (f : unit -> candidate) : candidate =
-  try f ()
-  with
-  | Driver.Unrepairable msg ->
-      { kind; program = None; verified = false; score = None; rounds = 0;
-        note = msg }
-  | exn ->
-      { kind; program = None; verified = false; score = None; rounds = 0;
-        note = Printexc.to_string exn }
+   is marked unproduced, the others still compete.  Exhausted budgets
+   and injected faults concern the whole run and propagate. *)
+let guarded kind f =
+  try f () with
+  | Driver.Unrepairable msg -> (unproduced kind 0 msg, None)
+  | Faultinject.Injected _ as e -> raise e
+  | e -> (
+      match Diag.of_exn e with
+      | Some d when d.stage = Diag.Budget -> raise e
+      | Some d -> (unproduced kind 0 (Diag.to_string d), None)
+      | None -> (unproduced kind 0 (Printexc.to_string e), None))
 
 (** Run the chosen repair strategy (or the full tournament) on a racy
-    program.  The winner is the minimum-CPL verified-race-free
-    candidate; ties break toward finish insertion.
+    program under [config] (default {!Config.default}; its [strategy]
+    field is not consulted).  The winner is the minimum-CPL
+    verified-race-free candidate; ties break toward finish insertion.
     @raise Driver.Unrepairable
-      if no strategy produces a verified race-free candidate. *)
-let run ?(mode = Espbags.Detector.Mrw) ?(backend = `Auto) ?fuel ?procs
-    ?max_iterations (choice : choice) (prog : Mhj.Ast.program) : outcome =
-  let backend = resolve backend prog in
+      if no strategy produces a verified race-free candidate
+    @raise Diag.Fail on a budget exhausted or the input failing to run *)
+let run ?(config = Config.default) (choice : Config.strategy)
+    (prog : Mhj.Ast.program) : outcome =
+  let backend, _ = Detect.backend config prog in
+  let config = { config with backend = (backend :> Config.backend) } in
   (* The test's expected output: the racy program's canonical depth-first
-     execution (which realizes the serial-projection order).  Every
-     candidate must reproduce it — race freedom alone is not a repair. *)
-  let expected = (Rt.Interp.run prog).Rt.Interp.output in
-  let fin () =
-    finish_candidate ~mode ~backend ~expected ?fuel ?procs ?max_iterations
-      prog
+     execution (which realizes the serial-projection order), under the
+     config's fuel.  Every candidate must reproduce it — race freedom
+     alone is not a repair. *)
+  let expected =
+    Guard.at_stage Diag.Interp (fun () ->
+        (Rt.Interp.run ?fuel:(Guard.fuel config.budgets) prog).output)
   in
-  let single kind gen =
-    let cand, report =
-      match (kind : kind) with
-      | Finish -> fin ()
-      | _ -> (guarded kind gen, None)
-    in
-    match cand with
-    | { verified = true; program = Some p; _ } ->
-        {
-          winner = cand;
-          program = p;
-          candidates = [ cand ];
-          finish_report = report;
-          metrics = metrics_of [ cand ] cand;
-        }
-    | _ ->
-        raise
-          (Driver.Unrepairable
-             (Fmt.str "strategy %a produced no race-free repair%s" pp_kind
-                kind
-                (if cand.note = "" then "" else ": " ^ cand.note)))
+  let kinds =
+    match choice with
+    | `Finish -> [ Finish ]
+    | `Isolated -> [ Isolated ]
+    | `Elide -> [ Elide ]
+    | `Chunk -> [ Chunk ]
+    | `Tournament -> [ Finish; Isolated; Elide; Chunk ]
   in
-  match choice with
-  | `Finish -> single Finish (fun () -> fst (fin ()))
-  | `Isolated ->
-      single Isolated (fun () ->
-          isolated_candidate ~mode ~backend ~expected ?fuel ?procs prog)
-  | `Elide ->
-      single Elide (fun () -> elide_candidate ~mode ~backend ~expected ?fuel ?procs prog)
-  | `Chunk ->
-      single Chunk (fun () -> chunk_candidate ~mode ~backend ~expected ?fuel ?procs prog)
-  | `Tournament ->
-      let fin_cand, report =
-        try fin ()
-        with exn ->
-          ( { kind = Finish; program = None; verified = false; score = None;
-              rounds = 0; note = Printexc.to_string exn },
-            None )
-      in
-      let candidates =
-        [
-          fin_cand;
-          guarded Isolated (fun () ->
-              isolated_candidate ~mode ~backend ~expected ?fuel ?procs prog);
-          guarded Elide (fun () ->
-              elide_candidate ~mode ~backend ~expected ?fuel ?procs prog);
-          guarded Chunk (fun () ->
-              chunk_candidate ~mode ~backend ~expected ?fuel ?procs prog);
-        ]
-      in
-      let viable =
-        List.filter
-          (fun c -> c.verified && c.score <> None && c.program <> None)
-          candidates
-      in
-      (match viable with
-      | [] ->
+  let results =
+    List.map
+      (fun kind ->
+        guarded kind (fun () -> candidate config ~expected kind prog))
+      kinds
+  in
+  let candidates = List.map fst results in
+  match List.filter (fun c -> c.verified) candidates with
+  | [] -> (
+      match candidates with
+      | [ c ] ->
           raise
             (Driver.Unrepairable
-               "tournament: no strategy produced a race-free candidate")
-      | first :: rest ->
-          let key c =
-            match c.score with
-            | Some s -> (s.Score.cpl, kind_rank c.kind)
-            | None -> (max_int, kind_rank c.kind)
-          in
-          let winner =
-            List.fold_left
-              (fun acc c -> if key c < key acc then c else acc)
-              first rest
-          in
-          Log.info (fun m ->
-              m "tournament winner: %a (%a)" pp_kind winner.kind
-                (Fmt.option Score.pp) winner.score);
-          {
-            winner;
-            program = Option.get winner.program;
-            candidates;
-            finish_report = report;
-            metrics = metrics_of candidates winner;
-          })
+               (Fmt.str "strategy %a produced no race-free repair%s" pp_kind
+                  c.kind
+                  (if c.note = "" then "" else ": " ^ c.note)))
+      | _ ->
+          raise
+            (Driver.Unrepairable
+               "tournament: no strategy produced a race-free candidate"))
+  | first :: rest ->
+      (* a verified candidate always carries its score *)
+      let key c = ((Option.get c.score).Score.cpl, kind_rank c.kind) in
+      let winner =
+        List.fold_left (fun acc c -> if key c < key acc then c else acc) first
+          rest
+      in
+      Log.info (fun m ->
+          m "tournament winner: %a (%a)" pp_kind winner.kind
+            (Fmt.option Score.pp) winner.score);
+      {
+        winner;
+        program = Option.get winner.program;
+        candidates;
+        finish_report = List.find_map snd results;
+        metrics = metrics_of candidates winner;
+      }

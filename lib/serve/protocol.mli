@@ -17,27 +17,24 @@ type op = Detect | Repair | Lint
 
 val op_to_string : op -> string
 
-type flags = {
-  mode : Espbags.Detector.mode;
-  backend : [ `Espbags | `Vclock | `Auto ];  (** detection backend *)
-  static_prune : bool;
-  static_verify : bool;
-  budgets : Repair.Guard.budgets;
+(** A job: its program and repair config (the ["flags"] object, parsed
+    by {!Repair.Config.of_json}) plus the serve-only ["flags"] keys. *)
+type job_spec = {
+  id : string;
+  op : op;
+  src : string;
+  config : Repair.Config.t;
   timeout_ms : int option;  (** per-job watchdog; [None] = daemon default *)
   retries : int option;  (** transient-fault retries; [None] = default *)
-  sets : (string * int) list;  (** int-global test-input overrides *)
   faults : Repair.Faultinject.fault list;
       (** per-job injected faults (applied to the first attempt only);
           jobs with faults are never cached *)
   trace : bool;  (** return the job's {!Obs.Trace} span names *)
-  shadow_chunk : int option;  (** chunked shadow-table slab size *)
-  spill : string option;  (** race-record spill file *)
-  strategy : Repair.Strategy.choice;  (** repair strategy for [repair] *)
 }
 
-val default_flags : flags
-
-type job_spec = { id : string; op : op; src : string; flags : flags }
+(** A job with no serve-only settings (default [op]: [Repair]; default
+    [config]: {!Repair.Config.default}). *)
+val job : ?op:op -> ?config:Repair.Config.t -> id:string -> string -> job_spec
 
 type request =
   | Job of job_spec
@@ -81,8 +78,8 @@ val error_reply : proto_error -> Obs.Json.t
 (** Serialize one reply frame, newline included. *)
 val frame : Obs.Json.t -> string
 
-(** Deterministic cache-key material for a job: collapses the flags
-    that affect the result (mode, prune/verify, budgets, sets) and
-    ignores the ones that do not (trace, timeout, retries).  Jobs with
-    faults must not be cached at all. *)
+(** Deterministic cache-key material for a job: a digest of its op, its
+    source and {!Repair.Config.key}, so every config field keys the
+    cache and the serve-only settings (trace, timeout, retries) do not.
+    Jobs with faults must not be cached at all. *)
 val cache_key : job_spec -> string

@@ -153,7 +153,7 @@ let submit t spec =
           List.length
             (List.filter
                (fun f -> f = FI.Worker_crash)
-               spec.P.flags.P.faults)
+               spec.P.faults)
         in
         { seq = t.next_seq; spec; crash_left; requeues = 0 })
   in
@@ -262,12 +262,7 @@ let check_wedged t ~limit_ms =
                   spec =
                     (* the daemon replies by seq; the spec here is only
                        for logging, synthesize a placeholder *)
-                    {
-                      P.id = "";
-                      op = P.Detect;
-                      src = "";
-                      flags = P.default_flags;
-                    };
+                    P.job ~op:P.Detect ~id:"" "";
                   outcome =
                     {
                       Worker.status = P.Sdegraded;

@@ -17,93 +17,48 @@ type outcome = {
 (* One pipeline run                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let apply_sets prog sets =
-  List.fold_left
-    (fun p (name, v) ->
-      try Mhj.Transform.set_global_int p name v
-      with Invalid_argument m ->
-        raise
-          (Repair.Diag.Fail
-             (Repair.Diag.make ~stage:Repair.Diag.Typecheck m)))
-    prog sets
-
-let resolve_backend (flags : P.flags) prog : [ `Espbags | `Vclock ] =
-  match flags.backend with
-  | (`Espbags | `Vclock) as b -> b
-  | `Auto -> fst (Vclock.Select.choose prog)
-
-let run_detect (flags : P.flags) prog =
-  let keep =
-    if flags.static_prune then
-      Some (Static.Prune.keep_fn (Static.Prune.make prog))
-    else None
+let run_detect (config : Repair.Config.t) prog =
+  (* the execution's S-DPST is not bound, so it is garbage while the
+     (possibly large) race list renders *)
+  let { Repair.Detect.backend; races; stats; _ } =
+    Repair.Detect.run config prog
   in
-  let layout =
-    Option.map (fun n -> Tdrutil.Islab.Chunked n) flags.shadow_chunk
-  in
-  let spill = Option.map Espbags.Spill.config flags.spill in
-  let backend = resolve_backend flags prog in
-  let label, races, n_accesses, n_locations, n_skipped =
-    match backend with
-    | `Espbags ->
-        let det, _res =
-          Espbags.Detector.detect ?keep ?layout ?spill flags.mode prog
-        in
-        ( "espbags",
-          Espbags.Detector.races det,
-          det.Espbags.Detector.n_accesses,
-          det.Espbags.Detector.n_locations,
-          det.Espbags.Detector.n_skipped )
-    | `Vclock ->
-        let det, _res =
-          Vclock.Seq.detect ?keep ?layout ?spill flags.mode prog
-        in
-        ( "vclock",
-          Vclock.Seq.races det,
-          det.Vclock.Seq.n_accesses,
-          det.Vclock.Seq.n_locations,
-          det.Vclock.Seq.n_skipped )
-  in
-  (* Races with both endpoints inside [isolated] sections are discharged
-     by mutual exclusion, mirroring Driver.detect and the CLI. *)
-  let races = Repair.Isolate.suppress prog races in
+  let count k = J.Int (List.assoc ("detector." ^ k) stats) in
   let report =
     J.Obj
       [
         ("op", J.Str "detect");
-        ( "mode",
+        ("mode", J.Str (Repair.Config.name Repair.Config.modes config.mode));
+        ( "backend",
           J.Str
-            (match flags.mode with Espbags.Detector.Mrw -> "mrw" | Srw -> "srw")
-        );
-        ("backend", J.Str label);
+            (Repair.Config.name Repair.Config.backends
+               (backend :> Repair.Config.backend)) );
         ("races", J.Int (List.length races));
         ( "race_pairs",
           J.Int (List.length (Espbags.Race.dedupe_by_steps races)) );
-        ("accesses", J.Int n_accesses);
-        ("locations", J.Int n_locations);
-        ("skipped", J.Int n_skipped);
+        ("accesses", count "accesses");
+        ("locations", count "locations");
+        ("skipped", count "skipped");
         ( "race_list",
           J.List
-            (List.map
-               (fun r -> J.Str (Fmt.str "%a" Espbags.Race.pp r))
-               races) );
+            (List.map (fun r -> J.Str (Fmt.str "%a" Espbags.Race.pp r)) races)
+        );
       ]
   in
   (P.Sok, Some report, None)
 
 (* Non-finish repair strategies route through the tournament layer; the
    reply carries the per-strategy outcomes alongside the winner. *)
-let run_repair_strategy (flags : P.flags) prog =
-  let outcome =
-    Repair.Strategy.run ~mode:flags.mode ~backend:flags.backend
-      flags.strategy prog
-  in
+let run_repair_strategy (config : Repair.Config.t) prog =
+  let outcome = Repair.Strategy.run ~config config.strategy prog in
   let open Repair.Strategy in
   let json =
     J.Obj
       [
         ("op", J.Str "repair");
-        ("strategy", J.Str (Fmt.str "%a" pp_choice flags.strategy));
+        ( "strategy",
+          J.Str (Repair.Config.name Repair.Config.strategies config.strategy)
+        );
         ("winner", J.Str (kind_name outcome.winner.kind));
         ("converged", J.Bool true);
         ( "candidates",
@@ -129,46 +84,51 @@ let run_repair_strategy (flags : P.flags) prog =
   in
   (P.Sok, Some json, None)
 
-let run_repair (flags : P.flags) prog =
-  if flags.strategy <> `Finish then run_repair_strategy flags prog
+let run_repair (config : Repair.Config.t) prog =
+  if config.strategy <> `Finish then run_repair_strategy config prog
   else
-  let report =
-    Repair.Driver.repair ~mode:flags.mode ~backend:flags.backend
-      ~budgets:flags.budgets ~static_prune:flags.static_prune
-      ~static_verify:flags.static_verify ?shadow_chunk:flags.shadow_chunk
-      ?spill:flags.spill prog
-  in
+  let report = Repair.Driver.repair ~config prog in
   let open Repair.Driver in
   let degraded =
     report.degradations <> [] || report.verified_static = Some false
   in
+  (* a schedule divergence means the repair did not restore determinism *)
+  let converged =
+    report.converged
+    && Option.fold ~none:true
+         ~some:(fun v -> v.Par.Validate.divergences = [])
+         report.validated_par
+  in
   let json =
     J.Obj
-      [
-        ("op", J.Str "repair");
-        ("converged", J.Bool report.converged);
-        ("iterations", J.Int (List.length report.iterations));
-        ("placements", J.Int (List.length (total_placements report)));
-        ("final_races", J.Int report.final_races);
-        ( "degradations",
-          J.List
-            (List.map
-               (fun d ->
-                 J.Str (Fmt.str "%a" Repair.Guard.pp_degradation d))
-               report.degradations) );
-        ( "verified_static",
-          match report.verified_static with
-          | None -> J.Null
-          | Some b -> J.Bool b );
-        ("program", J.Str (Mhj.Pretty.program_to_string report.program));
-      ]
+      ([
+         ("op", J.Str "repair");
+         ("converged", J.Bool report.converged);
+         ("iterations", J.Int (List.length report.iterations));
+         ("placements", J.Int (List.length (total_placements report)));
+         ("final_races", J.Int report.final_races);
+         ( "degradations",
+           J.List
+             (List.map
+                (fun d ->
+                  J.Str (Fmt.str "%a" Repair.Guard.pp_degradation d))
+                report.degradations) );
+         ( "verified_static",
+           match report.verified_static with
+           | None -> J.Null
+           | Some b -> J.Bool b );
+         ("program", J.Str (Mhj.Pretty.program_to_string report.program));
+       ]
+      @ Option.fold ~none:[]
+          ~some:(fun v ->
+            [ ("validated_par", J.Str (Fmt.str "%a" Par.Validate.pp v)) ])
+          report.validated_par)
   in
-  if not report.converged then
-    (P.Sfailed, Some json, Some "repair did not converge")
+  if not converged then (P.Sfailed, Some json, Some "repair did not converge")
   else if degraded then (P.Sdegraded, Some json, None)
   else (P.Sok, Some json, None)
 
-let run_lint (_flags : P.flags) prog =
+let run_lint prog =
   let findings = Static.Lint.run prog in
   let report =
     J.Obj
@@ -193,12 +153,13 @@ let run_once ~timeout_ms ~faults (spec : P.job_spec) =
           FI.fire_slow ();
           let prog =
             Obs.Trace.with_span "compile" (fun () ->
-                apply_sets (Mhj.Front.compile spec.src) spec.flags.sets)
+                Repair.Config.apply_sets spec.config.sets
+                  (Mhj.Front.compile spec.src))
           in
           match spec.op with
-          | P.Detect -> run_detect spec.flags prog
-          | P.Repair -> run_repair spec.flags prog
-          | P.Lint -> run_lint spec.flags prog))
+          | P.Detect -> run_detect spec.config prog
+          | P.Repair -> run_repair spec.config prog
+          | P.Lint -> run_lint prog))
 
 (* ------------------------------------------------------------------ *)
 (* Attempt classification + retry loop                                 *)
@@ -236,12 +197,11 @@ let backoff_cap_ms = 500
 
 let execute ?cache ?(retries = 2) ?(backoff_ms = 10) ?default_timeout_ms
     (spec : P.job_spec) =
-  let flags = spec.flags in
   let timeout_ms =
-    match flags.timeout_ms with Some _ as t -> t | None -> default_timeout_ms
+    match spec.timeout_ms with Some _ as t -> t | None -> default_timeout_ms
   in
-  let retries = Option.value flags.retries ~default:retries in
-  let cacheable = flags.faults = [] in
+  let retries = Option.value spec.retries ~default:retries in
+  let cacheable = spec.faults = [] in
   let key = P.cache_key spec in
   let cache_hit =
     if cacheable then Option.bind cache (fun c -> Cache.find c key) else None
@@ -255,12 +215,12 @@ let execute ?cache ?(retries = 2) ?(backoff_ms = 10) ?default_timeout_ms
         report = Some report;
         error = None;
         (* no pipeline stage ran: an empty span list is the proof *)
-        spans = (if flags.trace then Some [] else None);
+        spans = (if spec.trace then Some [] else None);
       }
   | None ->
       let finish ~attempt ~status ~report ~error =
-        let spans = if flags.trace then Some (span_names ()) else None in
-        if flags.trace then Obs.Trace.disable ();
+        let spans = if spec.trace then Some (span_names ()) else None in
+        if spec.trace then Obs.Trace.disable ();
         (match (status, report) with
         | P.Sok, Some r when cacheable ->
             Option.iter (fun c -> Cache.store c key r) cache
@@ -272,10 +232,10 @@ let execute ?cache ?(retries = 2) ?(backoff_ms = 10) ?default_timeout_ms
            a retry runs clean and terminal statuses are deterministic. *)
         let faults =
           if attempt = 1 then
-            List.filter (fun f -> f <> FI.Worker_crash) flags.faults
+            List.filter (fun f -> f <> FI.Worker_crash) spec.faults
           else []
         in
-        if flags.trace then begin
+        if spec.trace then begin
           Obs.Trace.enable ();
           Obs.Trace.reset ()
         end;

@@ -2,7 +2,7 @@
     detect/repair/lint job under the cooperative watchdog, with
     transient-fault retries and result caching.
 
-    Fault semantics: the job's injected faults ({!Protocol.flags.faults})
+    Fault semantics: the job's injected faults ({!Protocol.job_spec.faults})
     are installed on the {e first} attempt only — they model transient
     faults, so a retry runs clean and the retry path is deterministic.
     {!Repair.Faultinject.Worker_crash} is {e not} handled here: it

@@ -10,11 +10,16 @@ let binary = Filename.concat here "../../bin/tdrepair.exe"
 
 let sample name = Filename.concat here ("../../samples/" ^ name)
 
-(* Run the binary; return (exit code, combined output). *)
-let run_cli args =
+(* Run the binary; return (exit code, combined output).  With [timeout_s]
+   the run is killed after that many seconds (exit code 124). *)
+let run_cli ?timeout_s args =
   let out = Filename.temp_file "tdrepair_cli" ".out" in
   let cmd =
-    Fmt.str "%s %s > %s 2>&1" (Filename.quote binary)
+    Fmt.str "%s%s %s > %s 2>&1"
+      (match timeout_s with
+      | Some s -> Fmt.str "timeout -k 1 %d " s
+      | None -> "")
+      (Filename.quote binary)
       (String.concat " " (List.map Filename.quote args))
       (Filename.quote out)
   in
@@ -355,6 +360,27 @@ let test_budget_flags () =
             "100000000"; "--budget-sdpst"; "100000000" ]
       in
       Alcotest.(check int) "affordable budgets exit 0" 0 code3)
+
+(* A runaway racy program: every repair strategy and the strategy
+   preview must stop at --budget-fuel with a typed budget diagnostic,
+   the same as finish insertion does. *)
+let test_strategy_fuel_budget () =
+  with_tmp_program
+    "def main() {\n\
+    \  val a: int[] = new int[1];\n\
+    \  async { a[0] = 1; }\n\
+    \  while (true) { a[0] = a[0] + 1; }\n\
+     }"
+    (fun f ->
+      List.iter
+        (fun cmd ->
+          let code, out =
+            run_cli ~timeout_s:20
+              [ cmd; f; "--strategy=tournament"; "--budget-fuel=100000" ]
+          in
+          Alcotest.(check int) (cmd ^ ": budget exit") 4 code;
+          check_contains (cmd ^ ": budget diagnostic") out "error[budget]")
+        [ "repair"; "detect" ])
 
 (* The static analysis layer: lint findings, the lint exit-code contract,
    and the --static-prune / --static-verify integration flags. *)
@@ -939,6 +965,8 @@ let () =
           Alcotest.test_case "located interp diagnostics" `Quick
             test_located_interp_diagnostics;
           Alcotest.test_case "budget flags" `Quick test_budget_flags;
+          Alcotest.test_case "tournament --budget-fuel" `Quick
+            test_strategy_fuel_budget;
           Alcotest.test_case "lint" `Quick test_lint;
           Alcotest.test_case "lint stencil" `Quick test_lint_stencil;
           Alcotest.test_case "stencil --static-verify" `Quick

@@ -306,6 +306,45 @@ let test_sigterm_drains_inflight () =
   Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0);
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists d.sock)
 
+(* A runaway program under "budget_fuel": a detect job and a tournament
+   repair job must each fail on the fuel budget, well inside the 5 s hard
+   watchdog, so no worker is declared wedged and abandoned. *)
+let test_budget_fuel_bounds_jobs () =
+  with_daemon ~args:[ "--workers"; "1" ] @@ fun d ->
+  let c = C.connect d.sock in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  let runaway =
+    "def main() {\n  val a: int[] = new int[1];\n  async { a[0] = 1; }\n\
+    \  while (true) { a[0] = a[0] + 1; }\n}\n"
+  in
+  let t0 = Unix.gettimeofday () in
+  List.iter
+    (fun (op, id, flags) ->
+      let r =
+        Option.get
+          (C.request c
+             (job_req ~op ~id
+                ~flags:
+                  (("budget_fuel", J.Int 100_000) :: ("retries", J.Int 0)
+                  :: flags)
+                runaway))
+      in
+      Alcotest.(check string) (id ^ " failed") "failed" (str_field "status" r);
+      Alcotest.(check bool)
+        (id ^ " names the budget") true
+        (contains ~affix:"error[budget]" (str_field "error" r)))
+    [
+      ("detect", "detect", []);
+      ("repair", "tournament", [ ("strategy", J.Str "tournament") ]);
+    ];
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Fmt.str "both answered before the hard watchdog (%.1f s)" elapsed)
+    true (elapsed < 4.);
+  let h = Option.get (C.request c {|{"op":"health"}|}) in
+  Alcotest.(check bool) "no worker abandoned" true
+    (field "respawns" h = J.Int 0)
+
 (* ------------------------------------------------------------------ *)
 (* Soak: many clients, mixed jobs, injected faults, forced kills       *)
 (* ------------------------------------------------------------------ *)
@@ -422,6 +461,8 @@ let () =
           Alcotest.test_case "health shape" `Quick test_health_shape;
           Alcotest.test_case "cached reply byte-identical" `Quick
             test_cached_reply_byte_identical;
+          Alcotest.test_case "budget_fuel bounds detect and tournament" `Quick
+            test_budget_fuel_bounds_jobs;
         ] );
       ( "lifecycle",
         [

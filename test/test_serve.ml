@@ -23,8 +23,9 @@ def main() {
 }
 |}
 
-let spec ?(id = "t") ?(op = P.Repair) ?(flags = P.default_flags) src =
-  { P.id; op; src; flags }
+let spec ?(id = "t") ?(op = P.Repair) ?config src = P.job ~id ~op ?config src
+
+module C = Repair.Config
 
 (* ------------------------------------------------------------------ *)
 (* Jobq                                                                *)
@@ -108,29 +109,34 @@ let parse_ok line =
 let test_protocol_parse_job () =
   match
     parse_ok
-      {|{"op":"repair","id":"j1","src":"def main() {}","flags":{"mode":"srw","backend":"vclock","strategy":"tournament","shadow_chunk":512,"spill":"/tmp/sp","timeout_ms":50,"retries":1,"trace":true,"set":{"n":3},"faults":["detector_abort","interp_trap:99","slow_stage:20"]}}|}
+      {|{"op":"repair","id":"j1","src":"def main() {}","flags":{"mode":"srw","backend":"vclock","strategy":"tournament","shadow_chunk":512,"spill":"/tmp/sp","timeout_ms":50,"retries":1,"trace":true,"set":{"n":3},"faults":["detector_abort","interp_trap:99","slow_stage:20"],"static_prune":true,"static_verify":true,"budget_fuel":7,"budget_sdpst":8,"budget_dp":9}}|}
   with
   | P.Job s ->
       Alcotest.(check string) "id" "j1" s.P.id;
       Alcotest.(check bool) "op" true (s.P.op = P.Repair);
       Alcotest.(check bool) "mode" true
-        (s.P.flags.P.mode = Espbags.Detector.Srw);
-      Alcotest.(check bool) "backend" true (s.P.flags.P.backend = `Vclock);
+        (s.P.config.mode = Espbags.Detector.Srw);
+      Alcotest.(check bool) "backend" true (s.P.config.backend = `Vclock);
       Alcotest.(check bool) "strategy" true
-        (s.P.flags.P.strategy = `Tournament);
+        (s.P.config.strategy = `Tournament);
       Alcotest.(check (option int)) "shadow_chunk" (Some 512)
-        s.P.flags.P.shadow_chunk;
+        s.P.config.shadow_chunk;
       Alcotest.(check (option string)) "spill" (Some "/tmp/sp")
-        s.P.flags.P.spill;
+        s.P.config.spill;
       Alcotest.(check (option int)) "timeout" (Some 50)
-        s.P.flags.P.timeout_ms;
-      Alcotest.(check (option int)) "retries" (Some 1) s.P.flags.P.retries;
-      Alcotest.(check bool) "trace" true s.P.flags.P.trace;
+        s.P.timeout_ms;
+      Alcotest.(check (option int)) "retries" (Some 1) s.P.retries;
+      Alcotest.(check bool) "trace" true s.P.trace;
       Alcotest.(check (list (pair string int))) "sets" [ ("n", 3) ]
-        s.P.flags.P.sets;
+        s.P.config.sets;
       Alcotest.(check (list string)) "faults"
         [ "detector_abort"; "interp_trap:99"; "slow_stage:20" ]
-        (List.map P.fault_to_string s.P.flags.P.faults)
+        (List.map P.fault_to_string s.P.faults);
+      Alcotest.(check (pair bool bool)) "static prune/verify" (true, true)
+        (s.P.config.static_prune, s.P.config.static_verify);
+      Alcotest.(check bool) "budgets" true
+        (s.P.config.budgets
+        = { Repair.Guard.fuel = Some 7; sdpst_nodes = Some 8; dp_work = Some 9 })
   | _ -> Alcotest.fail "expected a job"
 
 let test_protocol_parse_control () =
@@ -165,7 +171,15 @@ let test_protocol_errors_typed () =
        (err {|{"op":"repair","id":"x"}|}));
   Alcotest.(check bool) "bad fault tagged" true
     (contains ~affix:{|"error": "bad-request"|}
-       (err {|{"op":"repair","id":"x","src":"","flags":{"faults":["nope"]}}|}))
+       (err {|{"op":"repair","id":"x","src":"","flags":{"faults":["nope"]}}|}));
+  (* a misspelt flag is refused, not silently answered with defaults *)
+  let misspelt =
+    err {|{"op":"repair","id":"x","src":"","flags":{"budget_fule":5}}|}
+  in
+  Alcotest.(check bool) "unknown flag key tagged" true
+    (contains ~affix:{|"error": "bad-request"|} misspelt);
+  Alcotest.(check bool) "unknown flag key named" true
+    (contains ~affix:"budget_fule" misspelt)
 
 let test_protocol_reply_golden () =
   Alcotest.(check string) "terminal reply frame"
@@ -184,48 +198,142 @@ let test_cache_key_sensitivity () =
   in
   ne "op matters" { base with P.op = P.Lint };
   ne "src matters" (spec (racy_src ^ " "));
+  let with_config config = { base with P.config } in
   ne "mode matters"
-    {
-      base with
-      P.flags = { base.P.flags with P.mode = Espbags.Detector.Srw };
-    };
+    (with_config { C.default with mode = Espbags.Detector.Srw });
   ne "budgets matter"
-    {
-      base with
-      P.flags =
-        {
-          base.P.flags with
-          P.budgets = { Repair.Guard.unlimited with fuel = Some 5 };
-        };
-    };
-  ne "sets matter"
-    { base with P.flags = { base.P.flags with P.sets = [ ("n", 1) ] } };
+    (with_config
+       {
+         C.default with
+         budgets = { Repair.Guard.unlimited with fuel = Some 5 };
+       });
+  ne "sets matter" (with_config { C.default with sets = [ ("n", 1) ] });
   (* every detector-affecting flag added since the daemon landed must
      key the cache too: serving an espbags reply to a vclock request (or
      a finish repair to a tournament request) is a stale-result bug *)
-  ne "backend matters"
-    { base with P.flags = { base.P.flags with P.backend = `Vclock } };
+  ne "backend matters" (with_config { C.default with backend = `Vclock });
   ne "auto backend distinct from explicit"
-    { base with P.flags = { base.P.flags with P.backend = `Auto } };
+    (with_config { C.default with backend = `Auto });
   ne "shadow_chunk matters"
-    { base with P.flags = { base.P.flags with P.shadow_chunk = Some 256 } };
-  ne "spill matters"
-    { base with P.flags = { base.P.flags with P.spill = Some "/tmp/sp" } };
-  ne "strategy matters"
-    { base with P.flags = { base.P.flags with P.strategy = `Tournament } };
+    (with_config { C.default with shadow_chunk = Some 256 });
+  ne "spill matters" (with_config { C.default with spill = Some "/tmp/sp" });
+  ne "strategy matters" (with_config { C.default with strategy = `Tournament });
   Alcotest.(check bool) "isolated and elide keys differ" false
     (String.equal
-       (P.cache_key
-          { base with P.flags = { base.P.flags with P.strategy = `Isolated } })
-       (P.cache_key
-          { base with P.flags = { base.P.flags with P.strategy = `Elide } }));
+       (P.cache_key (with_config { C.default with strategy = `Isolated }))
+       (P.cache_key (with_config { C.default with strategy = `Elide })));
   (* result-neutral flags must NOT change the key *)
   Alcotest.(check string) "trace ignored" key
-    (P.cache_key
-       { base with P.flags = { base.P.flags with P.trace = true } });
+    (P.cache_key { base with P.trace = true });
   Alcotest.(check string) "timeout ignored" key
-    (P.cache_key
-       { base with P.flags = { base.P.flags with P.timeout_ms = Some 9 } })
+    (P.cache_key { base with P.timeout_ms = Some 9 })
+
+(* Configs built field by field: the record expressions below are
+   exhaustive, so a new Config field does not compile here until the
+   generator and the mixer cover it. *)
+let gen_config : C.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let pick table = map snd (oneofl table) in
+  let small = int_range 0 50 in
+  let* mode = pick C.modes in
+  let* backend = pick C.backends in
+  let* placement = pick C.placements in
+  let* strategy = pick C.strategies in
+  let* fuel = opt small in
+  let* sdpst_nodes = opt small in
+  let* dp_work = opt small in
+  let* static_prune = bool in
+  let* static_verify = bool in
+  let* validate_par =
+    opt
+      (let* schedules = small in
+       let* seed = small in
+       let+ budget_ms = opt small in
+       { Par.Validate.schedules; seed; budget_ms })
+  in
+  let* shadow_chunk = opt small in
+  let* spill = opt (oneofl [ ""; "/tmp/a"; "/tmp/b" ]) in
+  let+ sets = list_size (int_bound 3) (pair (oneofl [ "m"; "n" ]) small) in
+  {
+    C.mode;
+    backend;
+    placement;
+    strategy;
+    budgets = { Repair.Guard.fuel; sdpst_nodes; dp_work };
+    static_prune;
+    static_verify;
+    validate_par;
+    shadow_chunk;
+    spill;
+    sets;
+  }
+
+(* [b]'s value for field number [k], [a]'s for every other field. *)
+let mix k (a : C.t) (b : C.t) : C.t =
+  let f i x y = if i = k then y else x in
+  let ba = a.budgets and bb = b.budgets in
+  {
+    C.mode = f 0 a.mode b.mode;
+    backend = f 1 a.backend b.backend;
+    placement = f 2 a.placement b.placement;
+    strategy = f 3 a.strategy b.strategy;
+    budgets =
+      {
+        Repair.Guard.fuel = f 4 ba.fuel bb.fuel;
+        sdpst_nodes = f 5 ba.sdpst_nodes bb.sdpst_nodes;
+        dp_work = f 6 ba.dp_work bb.dp_work;
+      };
+    static_prune = f 7 a.static_prune b.static_prune;
+    static_verify = f 8 a.static_verify b.static_verify;
+    validate_par = f 9 a.validate_par b.validate_par;
+    shadow_chunk = f 10 a.shadow_chunk b.shadow_chunk;
+    spill = f 11 a.spill b.spill;
+    sets = f 12 a.sets b.sets;
+  }
+
+let arb_config = QCheck.make ~print:(Fmt.to_to_string C.pp) gen_config
+
+(* Only the relative order of overrides of one global matters; the
+   canonical form sorts the others by name. *)
+let canonical (c : C.t) =
+  { c with sets = List.stable_sort (fun (a, _) (b, _) -> compare a b) c.sets }
+
+let prop_config_roundtrip =
+  QCheck.Test.make ~name:"config JSON round-trips, also through a job frame"
+    ~count:500 arb_config (fun c ->
+      C.of_json (C.to_json c) = Ok c
+      &&
+      match
+        P.parse
+          (J.to_string
+             (J.Obj
+                [
+                  ("op", J.Str "detect");
+                  ("id", J.Str "q");
+                  ("src", J.Str "");
+                  ("flags", C.to_json c);
+                ]))
+      with
+      | Ok (P.Job s) -> s.P.config = canonical c
+      | _ -> false)
+
+let prop_key_fields =
+  QCheck.Test.make
+    ~name:"cache key changes exactly when a config field changes" ~count:500
+    QCheck.(triple arb_config arb_config (int_bound 12))
+    (fun (a, b, k) ->
+      let a' = mix k a b in
+      let key c = P.cache_key (spec ~config:c racy_src) in
+      (canonical a' = canonical a) = String.equal (key a') (key a))
+
+let prop_key_ignores_serve_settings =
+  QCheck.Test.make ~name:"trace, timeout_ms and retries do not key the cache"
+    ~count:200
+    QCheck.(
+      quad arb_config bool (option small_nat) (option small_nat))
+    (fun (config, trace, timeout_ms, retries) ->
+      let s = spec ~config racy_src in
+      P.cache_key s = P.cache_key { s with P.trace; timeout_ms; retries })
 
 (* ------------------------------------------------------------------ *)
 (* Worker                                                              *)
@@ -246,8 +354,8 @@ let test_worker_repair_ok () =
 let test_worker_repair_strategy () =
   (* tournament repairs route through the strategy layer and report the
      winner plus every candidate's outcome *)
-  let flags = { P.default_flags with P.strategy = `Tournament } in
-  let o = Serve.Worker.execute (spec ~flags racy_src) in
+  let config = { C.default with strategy = `Tournament } in
+  let o = Serve.Worker.execute (spec ~config racy_src) in
   Alcotest.(check bool) "ok" true (o.Serve.Worker.status = P.Sok);
   match o.Serve.Worker.report with
   | Some r ->
@@ -269,8 +377,8 @@ let test_worker_repair_strategy () =
 
 let test_worker_detect_vclock_backend () =
   (* the backend flag must reach the worker's detect path *)
-  let flags = { P.default_flags with P.backend = `Vclock } in
-  let o = Serve.Worker.execute (spec ~op:P.Detect ~flags racy_src) in
+  let config = { C.default with backend = `Vclock } in
+  let o = Serve.Worker.execute (spec ~op:P.Detect ~config racy_src) in
   Alcotest.(check bool) "ok" true (o.Serve.Worker.status = P.Sok);
   match o.Serve.Worker.report with
   | Some r ->
@@ -312,27 +420,28 @@ let test_worker_parse_error_fatal () =
   Alcotest.(check int) "no retry on input error" 1 o.Serve.Worker.attempts
 
 let test_worker_transient_retry () =
-  let flags = { P.default_flags with P.faults = [ FI.Detector_abort ] } in
-  let o = Serve.Worker.execute ~backoff_ms:1 (spec ~flags racy_src) in
+  let s = { (spec racy_src) with P.faults = [ FI.Detector_abort ] } in
+  let o = Serve.Worker.execute ~backoff_ms:1 s in
   (* the fault fires on attempt 1 only; attempt 2 runs clean *)
   Alcotest.(check bool) "recovered" true (o.Serve.Worker.status = P.Sok);
   Alcotest.(check int) "retried once" 2 o.Serve.Worker.attempts
 
 let test_worker_retries_exhausted () =
-  let flags = { P.default_flags with P.retries = Some 0;
-                faults = [ FI.Detector_abort ] } in
-  let o = Serve.Worker.execute ~backoff_ms:1 (spec ~flags racy_src) in
+  let s =
+    { (spec racy_src) with P.retries = Some 0; faults = [ FI.Detector_abort ] }
+  in
+  let o = Serve.Worker.execute ~backoff_ms:1 s in
   Alcotest.(check bool) "terminal failure" true
     (o.Serve.Worker.status = P.Sfailed);
   Alcotest.(check int) "single attempt" 1 o.Serve.Worker.attempts
 
 let test_worker_timeout_degraded () =
-  let flags =
-    { P.default_flags with P.timeout_ms = Some 40;
+  let s =
+    { (spec racy_src) with P.timeout_ms = Some 40;
       faults = [ FI.Slow_stage 400 ] }
   in
   let t0 = Obs.Clock.now_ns () in
-  let o = Serve.Worker.execute (spec ~flags racy_src) in
+  let o = Serve.Worker.execute s in
   let elapsed_ms =
     Int64.to_int (Int64.div (Int64.sub (Obs.Clock.now_ns ()) t0) 1_000_000L)
   in
@@ -348,8 +457,7 @@ let test_worker_timeout_degraded () =
 
 let test_worker_cache_hit_skips_pipeline () =
   let cache = Serve.Cache.create ~capacity:8 in
-  let flags = { P.default_flags with P.trace = true } in
-  let s = spec ~flags racy_src in
+  let s = { (spec racy_src) with P.trace = true } in
   let first = Serve.Worker.execute ~cache s in
   Alcotest.(check bool) "first not cached" false first.Serve.Worker.cached;
   let spans1 =
@@ -375,8 +483,8 @@ let test_worker_cache_hit_skips_pipeline () =
 
 let test_worker_faulty_jobs_not_cached () =
   let cache = Serve.Cache.create ~capacity:8 in
-  let flags = { P.default_flags with P.faults = [ FI.Detector_abort ] } in
-  let o1 = Serve.Worker.execute ~cache ~backoff_ms:1 (spec ~flags racy_src) in
+  let s = { (spec racy_src) with P.faults = [ FI.Detector_abort ] } in
+  let o1 = Serve.Worker.execute ~cache ~backoff_ms:1 s in
   Alcotest.(check bool) "recovered ok" true (o1.Serve.Worker.status = P.Sok);
   Alcotest.(check int) "nothing stored" 0 (Serve.Cache.length cache)
 
@@ -437,9 +545,11 @@ let test_supervisor_crash_respawn () =
   (* job 1 kills its worker; job 2 is queued behind it.  The supervisor
      must respawn the worker, re-enqueue job 1 at the front, and both
      jobs must still reach exactly one terminal completion. *)
-  let flags = { P.default_flags with P.faults = [ FI.Worker_crash ] } in
+  let crashy =
+    { (spec ~id:"crashy" racy_src) with P.faults = [ FI.Worker_crash ] }
+  in
   let s1 =
-    match Serve.Supervisor.submit sup (spec ~id:"crashy" ~flags racy_src) with
+    match Serve.Supervisor.submit sup crashy with
     | `Accepted seq -> seq
     | `Overloaded -> Alcotest.fail "admission refused"
   in
@@ -473,9 +583,11 @@ let test_supervisor_hard_watchdog () =
   Fun.protect ~finally:(fun () -> Serve.Supervisor.shutdown sup) @@ fun () ->
   (* no timeout_ms: the cooperative watchdog is disarmed, so the 800ms
      stall wedges the worker; only the hard watchdog can save us *)
-  let flags = { P.default_flags with P.faults = [ FI.Slow_stage 800 ] } in
+  let wedge =
+    { (spec ~id:"wedge" racy_src) with P.faults = [ FI.Slow_stage 800 ] }
+  in
   let seq =
-    match Serve.Supervisor.submit sup (spec ~id:"wedge" ~flags racy_src) with
+    match Serve.Supervisor.submit sup wedge with
     | `Accepted seq -> seq
     | `Overloaded -> Alcotest.fail "admission refused"
   in
@@ -504,15 +616,14 @@ let test_supervisor_overload_shed () =
       ~backoff_ms:1 ~notify:(fun () -> ()) ()
   in
   Fun.protect ~finally:(fun () -> Serve.Supervisor.shutdown sup) @@ fun () ->
-  let slow =
-    { P.default_flags with P.faults = [ FI.Slow_stage 150 ];
+  let slow id =
+    { (spec ~id racy_src) with P.faults = [ FI.Slow_stage 150 ];
       timeout_ms = Some 10_000 }
   in
   let results =
     List.map
       (fun i ->
-        Serve.Supervisor.submit sup
-          (spec ~id:(string_of_int i) ~flags:slow racy_src))
+        Serve.Supervisor.submit sup (slow (string_of_int i)))
       [ 1; 2; 3; 4; 5; 6 ]
   in
   let admitted =
@@ -535,13 +646,13 @@ let test_supervisor_cancel () =
       ~backoff_ms:1 ~notify:(fun () -> ()) ()
   in
   Fun.protect ~finally:(fun () -> Serve.Supervisor.shutdown sup) @@ fun () ->
-  let slow =
-    { P.default_flags with P.faults = [ FI.Slow_stage 150 ];
+  let slow id =
+    { (spec ~id racy_src) with P.faults = [ FI.Slow_stage 150 ];
       timeout_ms = Some 10_000 }
   in
   (* the first job occupies the worker; the second is still queued and
      can be cancelled *)
-  ignore (Serve.Supervisor.submit sup (spec ~id:"busy" ~flags:slow racy_src));
+  ignore (Serve.Supervisor.submit sup (slow "busy"));
   Unix.sleepf 0.03;
   (match Serve.Supervisor.submit sup (spec ~id:"victim" racy_src) with
   | `Accepted _ -> ()
@@ -620,6 +731,9 @@ let () =
             test_protocol_reply_golden;
           Alcotest.test_case "cache key sensitivity" `Quick
             test_cache_key_sensitivity;
+          QCheck_alcotest.to_alcotest prop_config_roundtrip;
+          QCheck_alcotest.to_alcotest prop_key_fields;
+          QCheck_alcotest.to_alcotest prop_key_ignores_serve_settings;
           Alcotest.test_case "large frame linear scan" `Slow
             test_client_large_frame;
         ] );
