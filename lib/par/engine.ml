@@ -4,12 +4,13 @@
     yields, finish join counters, fuel batches and pacing, poison,
     {!Emon} tokens and locked interning.
 
-    Memory-safety of the shared heap (see DESIGN.md §9): local frames are
-    snapshotted ([Hashtbl.copy]) at spawn, so no [Hashtbl] structure is
-    ever mutated concurrently; globals are created during the sequential
-    initializer phase and only their contents ([ref]s and array cells)
-    race afterwards, which is memory-safe under the OCaml 5 memory model
-    — racy programs yield outcome nondeterminism, never crashes.
+    Memory-safety of the shared heap (see DESIGN.md §9): a task's local
+    frame is a slot array copied ([Array.copy]) at spawn, so no frame is
+    ever shared between tasks; the global slots are filled during the
+    sequential initializer phase and only their contents (slot values and
+    array cells) race afterwards, which is memory-safe under the OCaml 5
+    memory model — racy programs yield outcome nondeterminism, never
+    crashes.
 
     Fuel is a global [Atomic] decremented in per-worker batches; pacing
     ([pace_ns] per cost unit) is paid as debt-based sleeping so that
@@ -130,10 +131,10 @@ type mon = {
 }
 
 type task = {
-  t_stmt : Ast.stmt;  (** the [async] statement *)
-  t_run : tstate Rt.Eval.state -> Ast.stmt -> unit;
+  t_stmt : Rt.Eval.rstmt;  (** the [async] statement *)
+  t_run : tstate Rt.Eval.state -> Rt.Eval.rstmt -> unit;
       (** the evaluator's runner for [t_stmt]'s body *)
-  t_st : tstate Rt.Eval.state;  (** frames snapshotted at the spawn point *)
+  t_st : tstate Rt.Eval.state;  (** frame copied at the spawn point *)
 }
 
 (* The engine's part of a task's evaluator state. *)
@@ -426,12 +427,12 @@ module Exec = struct
 
   let leave st = mclose st
 
-  (* Spawn: the child gets a snapshot of the frames.  The typechecker
+  (* Spawn: the child gets a copy of the current frame.  The typechecker
      only lets an async body read immutable ([val]) outer locals declared
-     before the async, so copying the frames at the spawn point is
-     observationally identical to sharing them — and it keeps Hashtbl
-     structure single-domain. *)
-  let async (st : st) (s : Ast.stmt) run =
+     before the async, so copying the frame at the spawn point is
+     observationally identical to sharing it — and it keeps every frame
+     single-domain. *)
+  let async (st : st) s run =
     mclose st;
     let x = st.x in
     let eng = x.eng in
@@ -446,7 +447,7 @@ module Exec = struct
       {
         st with
         x = { x with atomic = 0; mtok; obid = -1; oidx = 0 };
-        locals = List.map Hashtbl.copy st.locals;
+        frame = Array.copy st.frame;
         bid = -1;
         idx = 0;
         quiet = false;
@@ -519,7 +520,7 @@ let worker_loop eng (w : worker) =
 
 let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ?emon ~mode
     (prog : Ast.program) : result =
-  let main = Rt.Eval.main_of prog in
+  let code = Rt.Eval.resolve prog in
   let is_fuzz, n_domains, seed =
     match mode with
     | Fuzz { seed } -> (true, 1, seed)
@@ -585,25 +586,22 @@ let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ?emon ~mode
     Rt.Eval.start
       { eng; w = workers.(0); fin = root; atomic = 0; monitored = mon <> None;
         mtok = -1; obid = -1; oidx = 0 }
-      prog main
+      code
   in
   (* Globals are interned up front (ids 0.. in declaration order, before
      any array registration), as in Rt.Interp. *)
   let gaddrs =
     List.map
       (fun (g : Ast.global) ->
-        let gaddr =
-          match mon with
-          | Some m -> Rt.Addr.Intern.add_global m.intern g.gname
-          | None -> -1
-        in
-        (g, gaddr))
+        match mon with
+        | Some m -> Rt.Addr.Intern.add_global m.intern g.gname
+        | None -> -1)
       prog.globals
   in
   (match mon with Some m -> m.em.Emon.on_init m.intern | None -> ());
   (* Global initializers are sequenced before every task: run them before
-     any other domain exists, then never touch the table's structure
-     again (only the refs and arrays it holds). *)
+     any other domain exists; afterwards only the slots' values and the
+     arrays they hold change. *)
   E.init_globals st0 gaddrs;
   (match mon with
   | Some m ->
@@ -616,7 +614,7 @@ let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ?emon ~mode
         Domain.spawn (fun () -> worker_loop eng workers.(i + 1)))
   in
   (try
-     E.run_main st0 main;
+     E.run_main st0;
      wait_fin st0 root;
      match mon with
      | Some m ->

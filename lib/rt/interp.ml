@@ -151,8 +151,8 @@ let default_fuel = 200_000_000
 
 let run ?(monitor = Monitor.nop) ?(fuel = default_fuel) (prog : Ast.program) :
     result =
-  let main = Eval.main_of prog in
-  let tree = Sdpst.Node.create_tree ~main_bid:main.body.bid in
+  let code = Eval.resolve prog in
+  let tree = Sdpst.Node.create_tree ~main_bid:code.main.rbody.rbid in
   let intern = Addr.Intern.create () in
   let d =
     {
@@ -167,13 +167,13 @@ let run ?(monitor = Monitor.nop) ?(fuel = default_fuel) (prog : Ast.program) :
       aid = 0;
     }
   in
-  let st = Eval.start d prog main in
+  let st = Eval.start d code in
   (* Globals are interned up front (ids 0.. in declaration order); arrays
      claim id blocks as they are allocated, starting with any allocated by
      the global initializers themselves. *)
   let gaddrs =
     List.map
-      (fun (g : Ast.global) -> (g, Addr.Intern.add_global intern g.gname))
+      (fun (g : Ast.global) -> Addr.Intern.add_global intern g.gname)
       prog.globals
   in
   monitor.Monitor.on_init intern;
@@ -187,7 +187,7 @@ let run ?(monitor = Monitor.nop) ?(fuel = default_fuel) (prog : Ast.program) :
   Obs.Trace.with_span "sdpst-build" (fun () ->
       monitor.Monitor.on_task_begin tree.root;
       monitor.Monitor.on_finish_begin tree.root;
-      E.run_main st main;
+      E.run_main st;
       d.step <- None;
       monitor.Monitor.on_finish_end tree.root;
       monitor.Monitor.on_task_end tree.root);

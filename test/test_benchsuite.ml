@@ -90,6 +90,81 @@ let test_perf_sizes_compile () =
       | _ -> ())
     Benchsuite.Suite.all
 
+(* Deterministic counters of the canonical run, pinned exactly: the
+   depth-first execution, its S-DPST and ESP-bags MRW detection must not
+   drift when the evaluator is reworked.  Covers the 12 stripped Table 1
+   programs at repair size and the scale presets shrunk to test size. *)
+let counters prog =
+  let det, res = Espbags.Detector.detect Espbags.Detector.Mrw prog in
+  [
+    res.Rt.Interp.work;
+    res.tree.Sdpst.Node.n_nodes;
+    det.Espbags.Detector.n_accesses;
+    Espbags.Detector.race_count det;
+  ]
+
+let shrink (cfg : Benchsuite.Progen.scale_config) :
+    Benchsuite.Progen.scale_config =
+  let r n = max 1 (n / 32) in
+  let shape : Benchsuite.Progen.scale_shape =
+    match cfg.shape with
+    | Grid g -> Grid { g with reps = r g.reps }
+    | Deep d -> Deep { d with reps = r d.reps }
+    | Hot h -> Hot { h with reps = r h.reps }
+    | Phased p -> Phased { p with reps = r p.reps }
+    | Sparse s -> Sparse { s with reps = r s.reps; pad_len = r s.pad_len }
+  in
+  { cfg with shape }
+
+(* name, [work; S-DPST nodes; MRW accesses; MRW races] *)
+let pinned_table1 =
+  [
+    ("Fibonacci", [ 75037; 19162; 6386; 3193 ]);
+    ("Quicksort", [ 238139; 40477; 31500; 13018 ]);
+    ("Mergesort", [ 405234; 93960; 60292; 444489 ]);
+    ("Spanning Tree", [ 144055; 20366; 24711; 1791 ]);
+    ("Nqueens", [ 56483; 9854; 2491; 4 ]);
+    ("Series", [ 71521; 10478; 106; 3 ]);
+    ("SOR", [ 76147; 7156; 16437; 12992 ]);
+    ("Crypt", [ 174557; 24094; 21089; 6000 ]);
+    ("Sparse", [ 39654; 4520; 7617; 1900 ]);
+    ("LUFact", [ 42520; 6872; 9534; 48070 ]);
+    ("FannKuch", [ 257542; 40363; 49347; 39 ]);
+    ("Mandelbrot", [ 1335892; 105500; 39053; 50 ]);
+  ]
+
+let pinned_scale =
+  [
+    ("grid-1m", [ 126005; 19477; 32796; 8 ]);
+    ("deep-1m", [ 124446; 17931; 32784; 4 ]);
+    ("hot-1m", [ 51488; 14502; 24756; 16 ]);
+    ("phased-1m", [ 65949; 20708; 24804; 32 ]);
+    ("sparse-1m", [ 126005; 19477; 32796; 8 ]);
+  ]
+
+let test_pinned_counters () =
+  let rows = Alcotest.(list (pair string (list int))) in
+  let table1 =
+    List.map
+      (fun (b : Benchsuite.Bench.t) ->
+        (b.name, counters (Benchsuite.Bench.stripped_program b)))
+      Benchsuite.Suite.all
+  in
+  Alcotest.check rows "Table 1 counters" pinned_table1 table1;
+  Alcotest.check rows "scale counters" pinned_scale
+    (List.map
+       (fun (name, cfg) ->
+         ( name,
+           counters
+             (Mhj.Front.compile
+                (Benchsuite.Progen.generate_scaled (shrink cfg))) ))
+       Benchsuite.Progen.scale_presets);
+  (* perfbench's table1-repair [rt.work] runs each program before and
+     after repair; an inserted finish charges nothing, so both runs do
+     the same work *)
+  Alcotest.(check int) "Table 1 work, twice" 5_833_562
+    (2 * List.fold_left (fun acc (_, c) -> acc + List.hd c) 0 table1)
+
 let () =
   Alcotest.run "benchsuite"
     [
@@ -101,6 +176,8 @@ let () =
           Alcotest.test_case "perf sizes compile" `Quick
             test_perf_sizes_compile;
         ] );
+      ( "counters",
+        [ Alcotest.test_case "pinned" `Quick test_pinned_counters ] );
       ( "repair",
         List.map
           (fun ((name, _, _) as case) ->

@@ -229,6 +229,34 @@ let test_missing_main_rejected () =
          go 0)
   | _ -> Alcotest.fail "program without main must be rejected"
 
+(* A local that shadows a global is never monitored; the global, read
+   after the shadowing block, is. *)
+let test_shadowing_monitored () =
+  let seen = ref [] in
+  let monitor =
+    {
+      Rt.Monitor.nop with
+      on_access =
+        (fun ~step:_ ~bid:_ ~idx:_ id kind -> seen := (id, kind) :: !seen);
+    }
+  in
+  let r =
+    Rt.Interp.run ~monitor
+      (Mhj.Front.compile
+         "var g: int = 1;\n\
+          def main() {\n\
+         \  { var g: int = 5; g = g + 1; print(g); }\n\
+          \  print(g);\n\
+          }")
+  in
+  Alcotest.(check string) "output" "6\n1\n" r.output;
+  let g = Option.get (Rt.Addr.Intern.find_global r.intern "g") in
+  Alcotest.(check (list (pair int string)))
+    "one monitored read, of the global" [ (g, "read") ]
+    (List.map
+       (fun (id, k) -> (id, Fmt.str "%a" Rt.Monitor.pp_access k))
+       !seen)
+
 let () =
   Alcotest.run "interp"
     [
@@ -249,6 +277,8 @@ let () =
           Alcotest.test_case "return from nesting" `Quick
             test_return_from_nested_blocks;
           Alcotest.test_case "cas bounds" `Quick test_cas_bounds;
+          Alcotest.test_case "shadowing and monitoring" `Quick
+            test_shadowing_monitored;
         ] );
       ( "execution",
         [

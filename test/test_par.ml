@@ -233,6 +233,58 @@ let parity_rows =
       "def f(n: int): int { if (n == 0) { return 0; } return f(n - 1) + 1; }\n\
        def main() { print(f(1000000)); }",
       Raises "call depth" );
+    (* Scoping: names resolve to the same binding on every executor. *)
+    ( "local shadows global",
+      "var g: int = 1;\n\
+       def main() {\n\
+      \  { var g: int = 5; g = g + 1; print(g); }\n\
+      \  print(g);\n\
+       }",
+      Prints "6\n1\n" );
+    ( "sibling blocks reuse a name",
+      (* the second block's [y] reuses the first block's [x] slot while
+         the first block's async may still be pending *)
+      "var out: int[] = new int[2];\n\
+       def main() {\n\
+      \  finish {\n\
+      \    { val x: int = 1; async { out[0] = x; } }\n\
+      \    { val y: int = 7; val x: int = 2; async { out[1] = x + y; } }\n\
+      \  }\n\
+      \  print(out[0]); print(out[1]);\n\
+       }",
+      Prints "1\n9\n" );
+    ( "for variable shadows a local",
+      "def main() {\n\
+      \  val a: int[] = new int[4];\n\
+      \  var i: int = 100;\n\
+      \  finish { for (i = 0 to 3) { async { a[i] = i * 2; } } }\n\
+      \  print(i); print(a[3]);\n\
+       }",
+      Prints "100\n6\n" );
+    ( "declaration shadows a parameter",
+      "def f(x: int): int { var x: int = x + 1; return x * 10; }\n\
+       def main() { print(f(2)); }",
+      Prints "30\n" );
+    ( "forasync reads its iteration's val",
+      "var out: int[] = new int[4];\n\
+       def main() {\n\
+      \  finish { forasync (i = 0 to 3) {\n\
+      \    val v: int = i * i; async { out[i] = v + i; } } }\n\
+      \  print(out[0] + out[1] + out[2] + out[3]);\n\
+       }",
+      Prints "20\n" );
+    ( "recursive activations keep their locals",
+      "def f(n: int): int {\n\
+      \  val mine: int = n * 10;\n\
+      \  val below: int[] = new int[1];\n\
+      \  if (n > 0) { finish { async { below[0] = f(n - 1); } } }\n\
+      \  return mine + below[0];\n\
+       }\n\
+       def main() { print(f(4)); }",
+      Prints "100\n" );
+    ( "initializer reads a later global",
+      "var a: int = b + 1;\nvar b: int = 2;\ndef main() { print(a); }",
+      Raises "\"unbound variable 'b'\" at 1:14" );
   ]
 
 let render_outcome run prog =
