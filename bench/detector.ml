@@ -37,7 +37,8 @@
 
    Timing discipline: minimum of TDR_BENCH_REPEAT timed runs (default 5,
    plus a warmup), with a [Gc.full_major] before every configuration so
-   one configuration's garbage is not collected on another's clock.
+   one configuration's garbage is not collected on another's clock.  The
+   spread of the runs feeds the noise gate (Gate.measurable).
 
    Environment knobs: TDR_BENCH_REPEAT, TDR_BENCH_PAR_DOMAINS (default
    2), TDR_BENCH_SUITE (comma-separated benchmark names; default all),
@@ -81,17 +82,17 @@ type row = {
   name : string;
   accesses : int;
   races : int;
-  nop_s : float;
-  srw_s : float;
-  mrw_s : float;
-  analysis_s : float;  (** Static.Prune.make, paid once per program *)
-  mrw_pruned_s : float;
+  nop_s : Gate.timing;
+  srw_s : Gate.timing;
+  mrw_s : Gate.timing;
+  analysis_s : Gate.timing;  (** Static.Prune.make, paid once per program *)
+  mrw_pruned_s : Gate.timing;
   skipped : int;
-  ref_srw_s : float;
-  ref_mrw_s : float;
-  vc_srw_s : float;
-  vc_mrw_s : float;
-  par_mrw_s : float;
+  ref_srw_s : Gate.timing;
+  ref_mrw_s : Gate.timing;
+  vc_srw_s : Gate.timing;
+  vc_mrw_s : Gate.timing;
+  par_mrw_s : Gate.timing;
       (** wall-clock of the parallel run with the sharded monitor
           attached; execution and detection overlap, so there is no
           meaningful nop baseline to subtract *)
@@ -181,39 +182,39 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
     ignore (vc_mrw_f ());
     ignore (par_f ())
   done;
-  let nop_s = ref infinity
-  and srw_s = ref infinity
-  and mrw_s = ref infinity
-  and analysis_s = ref infinity
-  and mrw_pruned_s = ref infinity
-  and ref_srw_s = ref infinity
-  and ref_mrw_s = ref infinity
-  and vc_srw_s = ref infinity
-  and vc_mrw_s = ref infinity
-  and par_mrw_s = ref infinity in
-  let keep_min cell s = if s < !cell then cell := s in
+  let nop_s = ref []
+  and srw_s = ref []
+  and mrw_s = ref []
+  and analysis_s = ref []
+  and mrw_pruned_s = ref []
+  and ref_srw_s = ref []
+  and ref_mrw_s = ref []
+  and vc_srw_s = ref []
+  and vc_mrw_s = ref []
+  and par_mrw_s = ref [] in
+  let keep cell s = cell := s :: !cell in
   for _ = 1 to max 1 repeat do
-    keep_min nop_s (once nop);
-    keep_min srw_s (once (fun () -> ignore (srw_f ())));
-    keep_min mrw_s (once (fun () -> ignore (mrw_f ())));
-    keep_min analysis_s (once analysis);
-    keep_min mrw_pruned_s (once (fun () -> ignore (pruned_f ())));
-    keep_min ref_srw_s (once (fun () -> ignore (ref_srw_f ())));
-    keep_min ref_mrw_s (once (fun () -> ignore (ref_mrw_f ())));
-    keep_min vc_srw_s (once (fun () -> ignore (vc_srw_f ())));
-    keep_min vc_mrw_s (once (fun () -> ignore (vc_mrw_f ())));
-    keep_min par_mrw_s (once (fun () -> ignore (par_f ())))
+    keep nop_s (once nop);
+    keep srw_s (once (fun () -> ignore (srw_f ())));
+    keep mrw_s (once (fun () -> ignore (mrw_f ())));
+    keep analysis_s (once analysis);
+    keep mrw_pruned_s (once (fun () -> ignore (pruned_f ())));
+    keep ref_srw_s (once (fun () -> ignore (ref_srw_f ())));
+    keep ref_mrw_s (once (fun () -> ignore (ref_mrw_f ())));
+    keep vc_srw_s (once (fun () -> ignore (vc_srw_f ())));
+    keep vc_mrw_s (once (fun () -> ignore (vc_mrw_f ())));
+    keep par_mrw_s (once (fun () -> ignore (par_f ())))
   done;
-  let nop_s = !nop_s
-  and srw_s = !srw_s
-  and mrw_s = !mrw_s
-  and analysis_s = !analysis_s
-  and mrw_pruned_s = !mrw_pruned_s
-  and ref_srw_s = !ref_srw_s
-  and ref_mrw_s = !ref_mrw_s
-  and vc_srw_s = !vc_srw_s
-  and vc_mrw_s = !vc_mrw_s
-  and par_mrw_s = !par_mrw_s in
+  let nop_s = Gate.timing !nop_s
+  and srw_s = Gate.timing !srw_s
+  and mrw_s = Gate.timing !mrw_s
+  and analysis_s = Gate.timing !analysis_s
+  and mrw_pruned_s = Gate.timing !mrw_pruned_s
+  and ref_srw_s = Gate.timing !ref_srw_s
+  and ref_mrw_s = Gate.timing !ref_mrw_s
+  and vc_srw_s = Gate.timing !vc_srw_s
+  and vc_mrw_s = Gate.timing !vc_mrw_s
+  and par_mrw_s = Gate.timing !par_mrw_s in
   let srw = srw_f ()
   and mrw = mrw_f ()
   and pruned = pruned_f ()
@@ -274,19 +275,19 @@ let row_json r =
        ("name", Obs.Json.Str r.name);
        ("accesses", Int r.accesses);
        ("races", Int r.races);
-       ("nop_s", Float r.nop_s);
-       ("srw_s", Float r.srw_s);
-       ("mrw_s", Float r.mrw_s);
-       ("prune_analysis_s", Float r.analysis_s);
-       ("mrw_pruned_s", Float r.mrw_pruned_s);
+       ("nop_s", Float r.nop_s.best);
+       ("srw_s", Float r.srw_s.best);
+       ("mrw_s", Float r.mrw_s.best);
+       ("prune_analysis_s", Float r.analysis_s.best);
+       ("mrw_pruned_s", Float r.mrw_pruned_s.best);
        ("skipped_accesses", Int r.skipped);
-       ("ref_srw_s", Float r.ref_srw_s);
-       ("ref_mrw_s", Float r.ref_mrw_s);
-       ("vc_srw_s", Float r.vc_srw_s);
-       ("vc_mrw_s", Float r.vc_mrw_s);
-       ("par_mrw_wall_s", Float r.par_mrw_s);
-       ("mrw_overhead", Float (r.mrw_s /. r.nop_s));
-       ("ref_mrw_overhead", Float (r.ref_mrw_s /. r.nop_s));
+       ("ref_srw_s", Float r.ref_srw_s.best);
+       ("ref_mrw_s", Float r.ref_mrw_s.best);
+       ("vc_srw_s", Float r.vc_srw_s.best);
+       ("vc_mrw_s", Float r.vc_mrw_s.best);
+       ("par_mrw_wall_s", Float r.par_mrw_s.best);
+       ("mrw_overhead", Float (r.mrw_s.best /. r.nop_s.best));
+       ("ref_mrw_overhead", Float (r.ref_mrw_s.best /. r.nop_s.best));
      ]
     @ Gate.column "mrw_det_accesses_per_s" ~ok:mrw_ok (mrw_aps r)
     @ Gate.column "vc_mrw_det_accesses_per_s" ~ok:vc_ok (vc_mrw_aps r)
@@ -367,8 +368,9 @@ let sweep ~quick () =
         let r = measure ~warmup ~repeat b in
         let spd ok v = if ok then Fmt.str "%7.2fx" v else "    n/a" in
         Fmt.pr "%-14s %10d %6d %9.2f %9.2f %9.2f %9.2f %9.2f %s %s@." r.name
-          r.accesses r.races (1e3 *. r.nop_s) (1e3 *. r.ref_mrw_s)
-          (1e3 *. r.mrw_s) (1e3 *. r.vc_mrw_s) (1e3 *. r.par_mrw_s)
+          r.accesses r.races (1e3 *. r.nop_s.best)
+          (1e3 *. r.ref_mrw_s.best) (1e3 *. r.mrw_s.best)
+          (1e3 *. r.vc_mrw_s.best) (1e3 *. r.par_mrw_s.best)
           (spd (row_measurable r) (mrw_speedup r))
           (spd (vc_row_measurable r) (vc_mrw_speedup r));
         r)

@@ -11,12 +11,25 @@
    column is written with its own [<column>_measurable] flag, and its
    value is JSON null whenever the flag is false. *)
 
+(* Every timed run of one configuration, kept as its minimum (the
+   reported time) and its spread (max - min, the run-to-run noise). *)
+type timing = { best : float; spread : float }
+
+let timing samples =
+  let best = List.fold_left Float.min infinity samples in
+  { best; spread = List.fold_left Float.max neg_infinity samples -. best }
+
 (* Detection time: run minus baseline, floored at 1us so clock jitter on
    a near-free configuration cannot yield a zero or negative
    denominator.  Only meaningful where [measurable] holds. *)
-let det_time run nop = Float.max (run -. nop) 1e-6
+let det_time run nop = Float.max (run.best -. nop.best) 1e-6
 
-let measurable run nop = run -. nop >= Float.max 3e-4 (0.05 *. nop)
+(* The difference must clear the floor and also exceed the spread of
+   both sides' samples: a difference the noise of either configuration
+   could produce on its own is not a measurement. *)
+let measurable run nop =
+  let d = run.best -. nop.best in
+  d >= Float.max 3e-4 (0.05 *. nop.best) && d > run.spread && d > nop.spread
 
 (* A gated column: the value when [ok], else null, plus its flag. *)
 let column name ~ok v =

@@ -29,8 +29,14 @@
    the touched chunks — the sweep asserts chunked shadow words strictly
    below monolithic's there (sublinear growth in the untouched span).
 
+   Every timed configuration runs once untimed first (full mode only,
+   as in `bench detector`), then keeps all its timed samples: the
+   minimum is the reported time and the spread (max - min) joins the
+   noise gate (Gate.measurable), so a rate whose difference the
+   run-to-run noise could produce is published as null.
+
    Environment knobs (mirroring `bench detector`): TDR_BENCH_REPEAT
-   (default 2), TDR_BENCH_SCALE_SUITE (comma-separated workload names),
+   (default 5), TDR_BENCH_SCALE_SUITE (comma-separated workload names),
    TDR_BENCH_SCALE_JSON (default BENCH_scale.json; "-" disables),
    TDR_BENCH_MIN_ACCESSES_PER_S (throughput floor over the aggregate;
    default 20000, 0 disables), TDR_BENCH_MAX_RSS_MB (process peak-RSS
@@ -110,9 +116,9 @@ type row = {
   backend : string;  (** "espbags" | "vclock" *)
   accesses : int;
   races : int;
-  nop_s : float;
-  chunked_s : float;
-  mono_s : float;
+  nop_s : Gate.timing;
+  chunked_s : Gate.timing;
+  mono_s : Gate.timing;
   chunked : mem;
   mono : mem;
   spilled : int;  (** records through the forced-spill identity run *)
@@ -144,16 +150,24 @@ let run_one f =
 let stat det key =
   match List.assoc_opt key det with Some v -> v | None -> 0
 
-let measure ~repeat ~spill_dir (name, cfg) : row list =
+let measure ~warmup ~repeat ~spill_dir (name, cfg) : row list =
   let src = Benchsuite.Progen.generate_scaled cfg in
   let prog = Mhj.Front.compile src in
-  let nop_s = ref infinity in
-  let keep_min cell s = if s < !cell then cell := s in
-  for _ = 1 to repeat do
-    let _, s, _ = run_one (fun () -> ignore (Rt.Interp.run prog)) in
-    keep_min nop_s s
-  done;
-  let nop_s = !nop_s in
+  (* [warmup] untimed runs first, so no timed sample pays for a cold
+     heap *)
+  let warm f =
+    for _ = 1 to warmup do
+      ignore (run_one f)
+    done
+  in
+  let nop () = ignore (Rt.Interp.run prog) in
+  warm nop;
+  let nop_s =
+    Gate.timing
+      (List.init repeat (fun _ ->
+           let _, s, _ = run_one nop in
+           s))
+  in
   (* unbounded oracle: the seed implementation, hashtable bags and boxed
      shadow — no slabs, no GC, no spill *)
   let oracle =
@@ -166,14 +180,15 @@ let measure ~repeat ~spill_dir (name, cfg) : row list =
   in
   let vc layout () = fst (Vclock.Seq.detect ~layout Vclock.Seq.Mrw prog) in
   let time_runs f =
-    let best = ref infinity and last = ref None and hw = ref 0 in
+    warm f;
+    let samples = ref [] and last = ref None and hw = ref 0 in
     for _ = 1 to repeat do
       let det, s, h = run_one f in
-      keep_min best s;
+      samples := s :: !samples;
       if h > !hw then hw := h;
       last := Some det
     done;
-    (Option.get !last, !best, !hw)
+    (Option.get !last, Gate.timing !samples, !hw)
   in
   let backend bname ~detect ~races ~stats ~spill_races : row =
     let chunked_det, chunked_s, chunked_hw =
@@ -251,9 +266,12 @@ let row_json r =
        ("backend", Str r.backend);
        ("accesses", Int r.accesses);
        ("races", Int r.races);
-       ("nop_s", Float r.nop_s);
-       ("chunked_s", Float r.chunked_s);
-       ("mono_s", Float r.mono_s);
+       ("nop_s", Float r.nop_s.best);
+       ("chunked_s", Float r.chunked_s.best);
+       ("mono_s", Float r.mono_s.best);
+       ("nop_spread_s", Float r.nop_s.spread);
+       ("chunked_spread_s", Float r.chunked_s.spread);
+       ("mono_spread_s", Float r.mono_s.spread);
        ("chunked_hw_words", Int r.chunked.hw_words);
        ("mono_hw_words", Int r.mono.hw_words);
        ("chunked_shadow_slabs", Int r.chunked.shadow_slabs);
@@ -286,7 +304,8 @@ let json_of_rows ~repeat ~quick rows =
     (List.map row_json rows)
 
 let sweep ~quick () =
-  let repeat = max 1 (if quick then 1 else env_int "TDR_BENCH_REPEAT" 2) in
+  let repeat = max 1 (if quick then 1 else env_int "TDR_BENCH_REPEAT" 5) in
+  let warmup = if quick then 0 else 1 in
   let spill_dir = Filename.temp_file "tdr-scale" "" in
   Sys.remove spill_dir;
   Unix.mkdir spill_dir 0o755;
@@ -308,14 +327,15 @@ let sweep ~quick () =
       let rows =
         List.concat_map
           (fun w ->
-            let rs = measure ~repeat ~spill_dir w in
+            let rs = measure ~warmup ~repeat ~spill_dir w in
             List.iter
               (fun r ->
                 Fmt.pr
                   "%-11s %-8s %10d %6d %9.1f %9.1f %9.1f %7.1fM %7.1fM %9d \
                    %s@."
-                  r.workload r.backend r.accesses r.races (1e3 *. r.nop_s)
-                  (1e3 *. r.chunked_s) (1e3 *. r.mono_s)
+                  r.workload r.backend r.accesses r.races
+                  (1e3 *. r.nop_s.best) (1e3 *. r.chunked_s.best)
+                  (1e3 *. r.mono_s.best)
                   (float_of_int r.chunked.hw_words /. 1e6)
                   (float_of_int r.mono.hw_words /. 1e6)
                   r.chunked.gc_retired

@@ -430,7 +430,7 @@ let detect_cmd =
           | `Espbags -> "ESP-bags"
           | `Vclock -> "vector-clock")
           (List.length races)
-          (List.length (Espbags.Race.dedupe_by_steps races));
+          (List.length (Lazy.force d.pairs));
         Fmt.pr
           "checked %d access(es) over %d location(s); S-DPST has %d node(s)@."
           (count "detector.accesses")

@@ -3,6 +3,7 @@
 type result = {
   backend : [ `Espbags | `Vclock ];
   races : Espbags.Race.t list;
+  pairs : Espbags.Race.t list Lazy.t;
   discharged : Espbags.Race.t list;
   exec : Rt.Interp.result;
   prune : Static.Prune.t option;
@@ -49,4 +50,5 @@ let run (config : Config.t) prog =
                 (Vclock.Seq.races det, Vclock.Seq.stats det, exec)))
   in
   let races, discharged = Isolate.split prog races in
-  { backend; races; discharged; exec; prune; stats }
+  let pairs = lazy (Espbags.Race.dedupe_by_steps races) in
+  { backend; races; pairs; discharged; exec; prune; stats }

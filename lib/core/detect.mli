@@ -11,6 +11,11 @@ type result = {
   backend : [ `Espbags | `Vclock ];  (** the backend that ran *)
   races : Espbags.Race.t list;
       (** reported races that survive mutual-exclusion discharge *)
+  pairs : Espbags.Race.t list Lazy.t;
+      (** [races] deduplicated by step pair
+          ({!Espbags.Race.dedupe_by_steps}), computed on first use and at
+          most once: the iteration record and the finish placement both
+          read it *)
   discharged : Espbags.Race.t list;
       (** races whose endpoints both sit in [isolated] sections
           ({!Isolate.split}): the detectors run those bodies as plain

@@ -274,14 +274,10 @@ let solve_group ~guard ~wrap_ok ~span (lca : Sdpst.Node.t)
     insertions;
   }
 
-(** Compute the placements demanded by [races] over the S-DPST
-    (one detector run), without touching the program.  This is the
-    "Dynamic Finish Placement" + location-mapping half of the pipeline;
-    trace-file workflows drive it directly. *)
-let place_for_tree ?(guard = Guard.make Guard.unlimited)
-    ~(program : Mhj.Ast.program) (races : Espbags.Race.t list) :
-    group_result list * Static_place.merged =
-  let races = Espbags.Race.dedupe_by_steps races in
+(* Batch placement over races already deduplicated by step pair. *)
+let place_pairs ~guard ~(program : Mhj.Ast.program)
+    (races : Espbags.Race.t list) : group_result list * Static_place.merged
+    =
   let span, _drag = Sdpst.Analysis.span_memo () in
   let scopes =
     Obs.Trace.with_span "scopecheck" (fun () -> Mhj.Scopecheck.build program)
@@ -304,15 +300,23 @@ let place_for_tree ?(guard = Guard.make Guard.unlimited)
   in
   (results, Static_place.merge ~scopes demands)
 
+(** Compute the placements demanded by [races] over the S-DPST
+    (one detector run), without touching the program.  This is the
+    "Dynamic Finish Placement" + location-mapping half of the pipeline;
+    trace-file workflows drive it directly. *)
+let place_for_tree ?(guard = Guard.make Guard.unlimited) ~program races =
+  place_pairs ~guard ~program (Espbags.Race.dedupe_by_steps races)
+
 (** Paper §6.1's incremental strategy: process NS-LCA groups one at a time
     against a {e live} S-DPST.  Each round solves the first group in DFS
     order, splices its first finish into the tree (step d), drops the
     races that finish resolves — re-checked with Theorem 1 on the updated
     tree (step e) — and regroups the remainder, whose NS-LCAs may have
-    changed (step f).  Mutates [tree]. *)
+    changed (step f).  Mutates [tree].  [pairs] are races deduplicated
+    by step pair. *)
 let place_incremental ?(guard = Guard.make Guard.unlimited)
     ~(program : Mhj.Ast.program) (tree : Sdpst.Node.tree)
-    (races : Espbags.Race.t list) : group_result list * Static_place.merged
+    (pairs : Espbags.Race.t list) : group_result list * Static_place.merged
     =
   let scopes =
     Obs.Trace.with_span "scopecheck" (fun () -> Mhj.Scopecheck.build program)
@@ -320,7 +324,7 @@ let place_incremental ?(guard = Guard.make Guard.unlimited)
   let wrap_ok = Mhj.Scopecheck.wrap_ok scopes in
   let results = ref [] in
   let demands = ref [] in
-  let remaining = ref (Espbags.Race.dedupe_by_steps races) in
+  let remaining = ref pairs in
   let rounds = ref 0 in
   while !remaining <> [] do
     incr rounds;
@@ -366,17 +370,18 @@ let is_unrepairable = function Unrepairable _ -> true | _ -> false
    collapse every race-free region with {!Sdpst.Analysis.prune} — the
    paper's §9 garbage collection, placement-preserving because collapsed
    regions contain neither race endpoints nor needed insertion points —
-   and continue on the pruned tree. *)
+   and continue on the pruned tree.  [pairs] are the run's races
+   deduplicated by step pair: the same endpoints, fewer records. *)
 let enforce_sdpst_budget ~guard (tree : Sdpst.Node.tree)
-    (races : Espbags.Race.t list) : unit =
+    (pairs : Espbags.Race.t list) : unit =
   match (Guard.budgets guard).Guard.sdpst_nodes with
   | Some cap when tree.Sdpst.Node.n_nodes > cap ->
-      let keep_ids = Hashtbl.create (2 * List.length races) in
+      let keep_ids = Hashtbl.create (2 * List.length pairs) in
       List.iter
         (fun (r : Espbags.Race.t) ->
           Hashtbl.replace keep_ids r.src.Sdpst.Node.id ();
           Hashtbl.replace keep_ids r.sink.Sdpst.Node.id ())
-        races;
+        pairs;
       let nodes_before = tree.Sdpst.Node.n_nodes in
       let removed =
         Sdpst.Analysis.prune tree ~keep:(fun n ->
@@ -414,19 +419,22 @@ let rewritten p =
     }
 
 (* The paper's step: NS-LCA grouping, the placement DP under the
-   S-DPST budget, and static finish insertion. *)
+   S-DPST budget, and static finish insertion.  The only step that
+   changes the detection it is given: the budget prunes its S-DPST and
+   incremental placement splices finishes into it. *)
 let finish_step (placement : Config.placement) =
   {
     bound = max_iterations;
     rewrite =
       (fun guard program (d : Detect.result) ->
-        enforce_sdpst_budget ~guard d.exec.tree d.races;
+        let pairs = Lazy.force d.pairs in
+        enforce_sdpst_budget ~guard d.exec.tree pairs;
         let groups, merged =
           Guard.at_stage ~passthrough:is_unrepairable Diag.Place (fun () ->
               match placement with
-              | `Batch -> place_for_tree ~guard ~program d.races
+              | `Batch -> place_pairs ~guard ~program pairs
               | `Incremental ->
-                  place_incremental ~guard ~program d.exec.tree d.races)
+                  place_incremental ~guard ~program d.exec.tree pairs)
         in
         Faultinject.fire Faultinject.Insert_fail;
         let rewritten =
@@ -439,7 +447,16 @@ let finish_step (placement : Config.placement) =
 
 type 'v run = { report : report; verdict : 'v; stuck : string option }
 
-let loop (config : Config.t) (step : step) ~verdict (prog : Mhj.Ast.program) =
+(* One timed detection run, behind the detection stage's fault points. *)
+let detect (config : Config.t) (program : Mhj.Ast.program) =
+  let t0 = Unix.gettimeofday () in
+  Faultinject.fire Faultinject.Detector_abort;
+  Faultinject.fire_slow ();
+  let d = Detect.run config program in
+  (d, Unix.gettimeofday () -. t0)
+
+let loop ?first (config : Config.t) (step : step) ~verdict
+    (prog : Mhj.Ast.program) =
   (* resolve [`Auto] once, against the input program *)
   let backend, _ = Detect.backend config prog in
   let config = { config with backend = (backend :> Config.backend) } in
@@ -507,18 +524,16 @@ let loop (config : Config.t) (step : step) ~verdict (prog : Mhj.Ast.program) =
   in
   (* One detection(+rewrite) round, wrapped in an "iteration" span; the
      recursion and the final report assembly stay outside the span. *)
-  let rec go program iterations remaining =
+  let rec go program iterations remaining first =
     let outcome =
       Obs.Trace.with_span "iteration"
         ~args:[ ("n", List.length iterations) ]
       @@ fun () ->
-      let t0 = Unix.gettimeofday () in
-      Faultinject.fire Faultinject.Detector_abort;
-      Faultinject.fire_slow ();
       (* the static pre-pass runs per iteration: inserted finishes shrink
          the MHP relation, so later runs may skip more *)
-      let d = Detect.run config program in
-      let detect_time = Unix.gettimeofday () -. t0 in
+      let d, detect_time =
+        match first with Some f -> f | None -> detect config program
+      in
       (* prune gauges: the latest pre-pass describes the current program *)
       Option.iter
         (fun pr ->
@@ -549,8 +564,7 @@ let loop (config : Config.t) (step : step) ~verdict (prog : Mhj.Ast.program) =
             let iter =
               {
                 n_races = List.length d.races;
-                n_race_pairs =
-                  List.length (Espbags.Race.dedupe_by_steps d.races);
+                n_race_pairs = List.length (Lazy.force d.pairs);
                 n_groups = List.length groups;
                 groups;
                 merged;
@@ -578,9 +592,9 @@ let loop (config : Config.t) (step : step) ~verdict (prog : Mhj.Ast.program) =
     match outcome with
     | `Stop (d, stuck) -> finish program iterations d stuck
     | `Next (program', iter) ->
-        go program' (iter :: iterations) (remaining - 1)
+        go program' (iter :: iterations) (remaining - 1) None
   in
-  go prog [] step.bound
+  go prog [] step.bound first
 
 (** Repair [prog]: iterate detection and finish placement until
     race-free (see driver.mli). *)

@@ -27,7 +27,9 @@ type iteration = {
   n_groups : int;  (** distinct NS-LCAs *)
   groups : group_result list;
   merged : Static_place.merged;
-  detect_time : float;  (** seconds spent executing + detecting *)
+  detect_time : float;
+      (** seconds spent executing + detecting; for round 0 of a loop
+          given a shared [first] detection, that detection's time *)
   place_time : float;  (** seconds spent in placement (dynamic + static) *)
   sdpst_nodes : int;
   n_accesses : int;  (** accesses the detector checked this run *)
@@ -84,7 +86,8 @@ val place_for_tree :
     time against a {e live} S-DPST — splice the finish node in (step d),
     drop the races it resolves, re-checked with Theorem 1 (step e), and
     regroup the remainder, whose NS-LCAs may have changed (step f).
-    Mutates the tree. *)
+    Mutates the tree.  Takes the run's races deduplicated by step pair
+    ({!Espbags.Race.dedupe_by_steps}, [Detect.result.pairs]). *)
 val place_incremental :
   ?guard:Guard.t ->
   program:Mhj.Ast.program ->
@@ -114,7 +117,11 @@ type step = {
 val rewritten : Mhj.Ast.program -> (rewrite, string) result
 
 (** Finish insertion — NS-LCA grouping, the placement DP under the
-    S-DPST and DP budgets, static insertion — bounded by 10 rounds. *)
+    S-DPST and DP budgets, static insertion — bounded by 10 rounds.
+    Placement reads the detection's step pairs ([Detect.result.pairs]).
+    The only step that changes the detection it is given: the S-DPST
+    budget prunes its tree and [`Incremental] placement splices
+    finishes into it. *)
 val finish_step : Config.placement -> step
 
 type 'v run = {
@@ -122,6 +129,15 @@ type 'v run = {
   verdict : 'v;  (** [verdict] applied to the loop's final detection *)
   stuck : string option;  (** the step's note, when it gave up *)
 }
+
+(** [detect config prog] is one detection run of [prog] and its wall
+    time in seconds, behind the detection stage's fault points
+    ({!Faultinject.Detector_abort}, {!Faultinject.Slow_stage}): the
+    loop's own detection, and the way to make a [first] detection for
+    {!loop}.  [config]'s backend should already be resolved against
+    [prog] ({!Detect.backend}).
+    @raise Diag.Fail on typed pipeline failures *)
+val detect : Config.t -> Mhj.Ast.program -> Detect.result * float
 
 (** The one detect→rewrite loop (paper Figure 6): detect under the
     config; stop when no race survives or the step's round bound is
@@ -131,9 +147,20 @@ type 'v run = {
     [`Auto] backend is resolved once, against [prog].  The final
     detection run is handed to [verdict]; then, after convergence, the
     config's [static_verify] and [validate_par] checks run.
+
+    [first], when given, is round 0: a {!detect} of [prog] under the
+    same config (backend resolved), used instead of detecting again, so
+    several loops over one input can share one detection.  Round 0's
+    [detect_time] is then that detection's measured time, in every loop
+    that shares it.  The loop may change the detection it is given:
+    {!finish_step} prunes and splices its S-DPST, so a caller that
+    shares one must hand it to the finish loop last (a loop given it
+    afterwards would record the changed tree's size as round 0's
+    [sdpst_nodes]).
     @raise Unrepairable if some race admits no scope-valid fix
     @raise Diag.Fail on typed pipeline failures *)
 val loop :
+  ?first:Detect.result * float ->
   Config.t ->
   step ->
   verdict:(Detect.result -> 'v) ->

@@ -22,9 +22,11 @@
 
     Each strategy is a rewrite step of the driver loop ({!Driver.loop}),
     so every candidate inherits the config, the guard and its budgets,
-    and the spans.  A candidate is verified and scored from its loop's
-    final detection: no race survives, the output matches the input's,
-    and [isolated]-protected pairs ({!Isolate.split}) become
+    and the spans.  The input is detected once, and that detection is
+    every candidate's round 0 and the source of the expected output.  A
+    candidate is verified and scored from its loop's final detection:
+    no race survives, the output matches the input's, and
+    [isolated]-protected pairs ({!Isolate.split}) become
     mutual-exclusion edges for scoring.  Per-strategy outcomes land in
     the [strategy.*] metric family. *)
 
@@ -337,9 +339,10 @@ let metrics_of (candidates : candidate list) (winner : candidate) :
 let unproduced kind rounds note =
   { kind; program = None; verified = false; score = None; rounds; note }
 
-(* One candidate: its step's loop from the input, verified and scored
-   from the loop's final detection. *)
-let candidate config ~expected kind prog : candidate * Driver.report option =
+(* One candidate: its step's loop from the input's shared detection
+   [first], verified and scored from the loop's final detection. *)
+let candidate config ~first ~expected kind prog :
+    candidate * Driver.report option =
   let step =
     match kind with
     | Finish -> Driver.finish_step config.Config.placement
@@ -354,7 +357,7 @@ let candidate config ~expected kind prog : candidate * Driver.report option =
     else None
   in
   let { Driver.report; verdict; stuck } =
-    Driver.loop config step ~verdict prog
+    Driver.loop ~first config step ~verdict prog
   in
   let rounds = List.length report.iterations in
   let finish_report = if kind = Finish then Some report else None in
@@ -394,19 +397,22 @@ let guarded kind f =
     verified-race-free candidate; ties break toward finish insertion.
     @raise Driver.Unrepairable
       if no strategy produces a verified race-free candidate
-    @raise Diag.Fail on a budget exhausted or the input failing to run *)
+    @raise Diag.Fail
+      on a budget exhausted, or on the input's one detection failing
+      (interpreter, static pre-pass or detector): that detection is
+      every candidate's round 0, so its failure ends the run rather
+      than marking one candidate unproduced *)
 let run ?(config = Config.default) (choice : Config.strategy)
     (prog : Mhj.Ast.program) : outcome =
   let backend, _ = Detect.backend config prog in
   let config = { config with backend = (backend :> Config.backend) } in
-  (* The test's expected output: the racy program's canonical depth-first
-     execution (which realizes the serial-projection order), under the
-     config's fuel.  Every candidate must reproduce it — race freedom
-     alone is not a repair. *)
-  let expected =
-    Guard.at_stage Diag.Interp (fun () ->
-        (Rt.Interp.run ?fuel:(Guard.fuel config.budgets) prog).output)
-  in
+  (* One detection of the input is every candidate's round 0.  Its
+     execution is the racy program's canonical depth-first one (which
+     realizes the serial-projection order), under the config's fuel, so
+     its output is the test's expected output: every candidate must
+     reproduce it — race freedom alone is not a repair. *)
+  let first = Driver.detect config prog in
+  let expected = (fst first).exec.output in
   let kinds =
     match choice with
     | `Finish -> [ Finish ]
@@ -415,12 +421,22 @@ let run ?(config = Config.default) (choice : Config.strategy)
     | `Chunk -> [ Chunk ]
     | `Tournament -> [ Finish; Isolated; Elide; Chunk ]
   in
-  let results =
+  (* The finish step prunes and splices the S-DPST it is given, so the
+     finish candidate takes the shared detection last; results keep the
+     canonical order. *)
+  let finish_last =
+    List.filter (fun k -> k <> Finish) kinds
+    @ List.filter (fun k -> k = Finish) kinds
+  in
+  let ran =
     List.map
       (fun kind ->
-        guarded kind (fun () -> candidate config ~expected kind prog))
-      kinds
+        ( kind,
+          guarded kind (fun () ->
+              candidate config ~first ~expected kind prog) ))
+      finish_last
   in
+  let results = List.map (fun kind -> List.assoc kind ran) kinds in
   let candidates = List.map fst results in
   match List.filter (fun c -> c.verified) candidates with
   | [] -> (

@@ -52,7 +52,8 @@ val static_key_of_race : t -> (int * int * bool) * (int * int * bool) * string
 
 val pp_static_key : ((int * int * bool) * (int * int * bool) * string) Fmt.t
 
-(** Distinct (source step, sink step) pairs, first-seen order. *)
+(** Distinct (source step, sink step) pairs, first-seen order: the
+    first record of each pair, physically the input's. *)
 val dedupe_by_steps : t list -> t list
 
 (** Number of distinct static (source stmt, sink stmt) pairs. *)

@@ -20,7 +20,7 @@ type outcome = {
 let run_detect (config : Repair.Config.t) prog =
   (* the execution's S-DPST is not bound, so it is garbage while the
      (possibly large) race list renders *)
-  let { Repair.Detect.backend; races; stats; _ } =
+  let { Repair.Detect.backend; races; pairs; stats; _ } =
     Repair.Detect.run config prog
   in
   let count k = J.Int (List.assoc ("detector." ^ k) stats) in
@@ -34,8 +34,7 @@ let run_detect (config : Repair.Config.t) prog =
             (Repair.Config.name Repair.Config.backends
                (backend :> Repair.Config.backend)) );
         ("races", J.Int (List.length races));
-        ( "race_pairs",
-          J.Int (List.length (Espbags.Race.dedupe_by_steps races)) );
+        ("race_pairs", J.Int (List.length (Lazy.force pairs)));
         ("accesses", count "accesses");
         ("locations", count "locations");
         ("skipped", count "skipped");

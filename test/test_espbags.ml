@@ -348,6 +348,79 @@ def main() {
   Alcotest.(check bool) "static count positive" true
     (Espbags.Race.count_static races > 0)
 
+(* The earlier implementation, kept as the oracle: a polymorphic table
+   keyed on the (source id, sink id) tuple. *)
+let dedupe_oracle (races : Espbags.Race.t list) =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun (r : Espbags.Race.t) ->
+      let k = (r.src.Sdpst.Node.id, r.sink.Sdpst.Node.id) in
+      if Hashtbl.mem seen k then false
+      else begin
+        Hashtbl.add seen k ();
+        true
+      end)
+    races
+
+let step_node id =
+  {
+    Sdpst.Node.id;
+    kind = Sdpst.Node.Step;
+    parent = None;
+    depth = 0;
+    children = Tdrutil.Vec.create ();
+    sid = -1;
+    origin_bid = 0;
+    origin_idx = 0;
+    body_bid = -1;
+    cost = 0;
+    last_idx = 0;
+    collapsed = None;
+  }
+
+(* Race lists whose duplicates are scattered, not adjacent: pairs drawn
+   at random from a small pool, each draw a fresh record.  [base] shifts
+   every id, up to ids wider than half an int. *)
+let scattered_races ~seed ~base ~n =
+  let st = Random.State.make [| seed |] in
+  let nodes = Array.init 24 (fun i -> step_node (base + (i * 7919))) in
+  List.init n (fun i ->
+      let a = Random.State.int st 23 in
+      let b = a + 1 + Random.State.int st (23 - a) in
+      Espbags.Race.make ~src:nodes.(a) ~sink:nodes.(b)
+        ~addr:(Rt.Addr.Cell (0, i)) ~kind:Espbags.Race.Write_write)
+
+let test_dedupe_matches_oracle () =
+  let same what races =
+    let got = Espbags.Race.dedupe_by_steps races
+    and want = dedupe_oracle races in
+    Alcotest.(check int) (what ^ ": length") (List.length want)
+      (List.length got);
+    Alcotest.(check bool) (what ^ ": same records, same order") true
+      (List.for_all2 ( == ) got want)
+  in
+  same "empty" [];
+  List.iter
+    (fun (seed, base, n) ->
+      let races = scattered_races ~seed ~base ~n in
+      same (Fmt.str "seed %d, ids from %d, %d races" seed base n) races)
+    [ (1, 0, 5); (2, 0, 1000); (3, 1 lsl 20, 5000); (4, 1 lsl 40, 1000) ];
+  (* and a real report, reversed and appended to itself *)
+  let det, _ =
+    detect Espbags.Detector.Mrw
+      {|
+var x: int = 0;
+def main() {
+  val a: int[] = new int[4];
+  for (i = 0 to 3) { async { x = x + 1; a[i % 2] = a[(i + 1) % 2] + 1; } }
+  print(x);
+}
+|}
+  in
+  let races = Espbags.Detector.races det in
+  Alcotest.(check bool) "the program races" true (races <> []);
+  same "detector report, doubled" (races @ List.rev races)
+
 let () =
   Alcotest.run "espbags"
     [
@@ -379,5 +452,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_trace_errors;
           Alcotest.test_case "dedupe/static counts" `Quick
             test_dedupe_and_static_count;
+          Alcotest.test_case "dedupe matches the tuple-keyed oracle" `Quick
+            test_dedupe_matches_oracle;
         ] );
     ]
